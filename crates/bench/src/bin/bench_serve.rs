@@ -20,11 +20,11 @@
 //! The harness sizing knobs (`SQLAN_SESSIONS`, `SQLAN_FAST`, …) shrink
 //! the training corpus the same way they do for every other binary.
 //!
-//! ## The c10k section (Linux + epoll mode)
+//! ## The c10k section
 //!
 //! After the closed-loop levels, the bench holds `SQLAN_BENCH_C10K` idle
-//! keep-alive connections open against the server *at once* — the load
-//! the thread-per-connection front end could never carry — then measures
+//! keep-alive connections open against the server *at once* — a load a
+//! thread-per-connection server could never carry — then measures
 //! predict throughput and sampled keep-alive liveness while they are
 //! held. One process cannot own both sides of 10k sockets within the fd
 //! limit, so the bench re-execs itself into child processes (marked by
@@ -117,15 +117,12 @@ struct ChaosStats {
 #[derive(Debug, Serialize)]
 struct BenchServe {
     machine: sqlan_bench::MachineInfo,
-    /// Front end under test: `epoll` or `threads` (`SQLAN_HTTP`).
-    http_mode: String,
     corpus_statements: usize,
     requests_per_client: usize,
     statements_per_request: usize,
     levels: Vec<LevelStats>,
     obs_ab: ObsAbStats,
-    /// Present only in epoll mode on Linux.
-    c10k: Option<C10kStats>,
+    c10k: C10kStats,
     chaos: ChaosStats,
 }
 
@@ -230,7 +227,6 @@ fn run_client(
 /// `GET /healthz`, read status line + headers + `content-length` body.
 /// Uses a single fd per connection (no stream cloning) so a child can
 /// hold 2 500 of them comfortably.
-#[cfg(target_os = "linux")]
 fn healthz_roundtrip(stream: &mut std::net::TcpStream) -> std::io::Result<()> {
     use std::io::{Read, Write};
     stream.write_all(b"GET /healthz HTTP/1.1\r\n\r\n")?;
@@ -275,7 +271,6 @@ fn healthz_roundtrip(stream: &mut std::net::TcpStream) -> std::io::Result<()> {
 /// Child-process mode (`SQLAN_C10K_CHILD="<addr> <n>"`): open and hold
 /// `n` keep-alive connections, report `ready <count>`, then answer
 /// `probe` (sample liveness) and `exit` commands on stdin.
-#[cfg(target_os = "linux")]
 fn c10k_child(spec: &str) {
     use std::io::{BufRead, Write};
     let mut parts = spec.split_whitespace();
@@ -320,7 +315,6 @@ fn c10k_child(spec: &str) {
 /// Hold `target` idle keep-alive connections from child processes while
 /// this process keeps serving, measure predict throughput under the
 /// hold, then probe that the held connections still answer.
-#[cfg(target_os = "linux")]
 fn run_c10k(
     handle: &sqlan_serve::ServerHandle,
     corpus: &[String],
@@ -608,12 +602,10 @@ fn run_chaos(bundle_dir: &std::path::Path, requests: usize, batch: usize, seed: 
 
 fn main() {
     // Re-exec'd child holding a slice of the c10k connections?
-    #[cfg(target_os = "linux")]
     if let Ok(spec) = std::env::var("SQLAN_C10K_CHILD") {
         c10k_child(&spec);
         return;
     }
-    #[cfg(target_os = "linux")]
     let nofile_soft = sqlan_net::raise_nofile_limit()
         .map(|(soft, _)| soft)
         .unwrap_or(1024);
@@ -643,9 +635,8 @@ fn main() {
     )
     .expect("start server");
     let addr = handle.addr();
-    let http_mode = format!("{:?}", handle.http_mode()).to_lowercase();
     eprintln!(
-        "[bench_serve] cores={} simd={} corpus={corpus_len} http={http_mode} serving on {addr}",
+        "[bench_serve] cores={} simd={} corpus={corpus_len} serving on {addr}",
         machine.cores, machine.simd_tier
     );
 
@@ -698,24 +689,16 @@ fn main() {
     let obs_ab = run_obs_ab(addr, &corpus, requests, batch);
     check_metrics_consistency(addr);
 
-    // The c10k hold: epoll mode only — thread-per-connection would need
-    // 10 000 OS threads to even accept the sockets.
-    #[cfg(target_os = "linux")]
-    let c10k = (handle.http_mode() == sqlan_serve::HttpMode::Epoll)
-        .then(|| run_c10k(&handle, &corpus, batch, nofile_soft));
-    #[cfg(not(target_os = "linux"))]
-    let c10k: Option<C10kStats> = None;
-    if let Some(stats) = &c10k {
-        eprintln!(
-            "    c10k: held {} (server {})  probe {}/{}  {:.0} stmts/s under hold  p99 {:.2}ms",
-            stats.held,
-            stats.server_connections,
-            stats.probe_alive,
-            stats.probe_sampled,
-            stats.stmts_per_sec_under_hold,
-            stats.p99_s_under_hold * 1e3
-        );
-    }
+    let c10k = run_c10k(&handle, &corpus, batch, nofile_soft);
+    eprintln!(
+        "    c10k: held {} (server {})  probe {}/{}  {:.0} stmts/s under hold  p99 {:.2}ms",
+        c10k.held,
+        c10k.server_connections,
+        c10k.probe_alive,
+        c10k.probe_sampled,
+        c10k.stmts_per_sec_under_hold,
+        c10k.p99_s_under_hold * 1e3
+    );
 
     handle.shutdown();
 
@@ -726,7 +709,6 @@ fn main() {
 
     let report = BenchServe {
         machine,
-        http_mode,
         corpus_statements: corpus_len,
         requests_per_client: requests,
         statements_per_request: batch,

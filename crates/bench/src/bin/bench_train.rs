@@ -1,20 +1,18 @@
-//! Neural-training throughput benchmark: per-example vs batched.
+//! Neural-training throughput benchmark.
 //!
 //! Trains the paper's neural models (`wcnn` + `clstm`, error
-//! classification on the fixed-seed SDSS workload) through both training
-//! paths — `SQLAN_NN_TRAIN=per_example` (one autograd tape per example,
-//! the pre-batching baseline) and the default tensorized minibatch path
-//! (length-bucketed tiles, one batched tape each) — at 1/2/4/8 worker
-//! threads, and reports epoch throughput in examples/second.
+//! classification on the fixed-seed SDSS workload) through the
+//! tensorized minibatch path (length-bucketed tiles, one batched tape
+//! each) at 1/2/4/8 worker threads, and reports epoch throughput in
+//! examples/second.
 //!
 //! Besides speed, the run re-checks the correctness contracts on real
 //! data and fails loudly if they break:
 //!
 //! * trained parameters byte-identical across all thread counts (the
-//!   determinism contract, per mode);
+//!   determinism contract);
 //! * `predict_proba_batch` bit-identical to per-statement
 //!   `predict_proba` on the test slice (the serving contract);
-//! * batched throughput ≥ per-example throughput at every thread count;
 //! * trained parameters byte-identical between the auto kernel tier and
 //!   the forced scalar oracle (the in-binary scalar-vs-SIMD A/B, which
 //!   also reports the tier speedup at the lowest thread count).
@@ -34,7 +32,7 @@ use sqlan_core::Dataset;
 use sqlan_simd::Tier;
 
 #[derive(Debug, Serialize)]
-struct ModeScaling {
+struct Scaling {
     /// (threads, wall-clock seconds, examples/second) per thread count.
     runs: Vec<(usize, f64, f64)>,
     /// Trained parameters byte-identical across all thread counts.
@@ -46,20 +44,16 @@ struct ModelBench {
     model: String,
     n_train: usize,
     epochs: usize,
-    per_example: ModeScaling,
-    batched: ModeScaling,
-    /// batched examples/s ÷ per-example examples/s at the lowest
-    /// measured thread count (1 unless `SQLAN_BENCH_THREADS` omits it).
-    speedup_batched_at_1_thread: f64,
+    /// Training throughput at every measured thread count.
+    training: Scaling,
     /// `predict_proba_batch` ≡ mapped `predict_proba`, bit for bit, on
-    /// the test slice (batched-path model, every measured thread count).
+    /// the test slice (every measured thread count).
     batch_predict_bit_identical: bool,
-    /// Batched training re-run with the kernel tier forced to the scalar
-    /// oracle, at the lowest measured thread count: (seconds,
-    /// examples/second).
-    batched_scalar_tier: (f64, f64),
-    /// batched examples/s under the auto tier ÷ under the forced scalar
-    /// oracle, lowest thread count. ≈ 1 on hardware without AVX2.
+    /// Training re-run with the kernel tier forced to the scalar oracle,
+    /// at the lowest measured thread count: (seconds, examples/second).
+    scalar_tier: (f64, f64),
+    /// examples/s under the auto tier ÷ under the forced scalar oracle,
+    /// lowest thread count. ≈ 1 on hardware without AVX2.
     speedup_simd_at_1_thread: f64,
     /// Trained parameters byte-identical between the scalar and auto
     /// kernel tiers (the matmul/activation bit-exactness contract,
@@ -126,14 +120,12 @@ fn train_kernel_ab() -> Option<Vec<KernelAb>> {
     Some(rows)
 }
 
-fn train_mode(
-    mode: &str,
+fn train_scaling(
     kind: ModelKind,
     threads: &[usize],
     data: &TrainData<'_>,
     cfg: &TrainConfig,
-) -> (ModeScaling, TrainedModel) {
-    std::env::set_var("SQLAN_NN_TRAIN", mode);
+) -> (Scaling, TrainedModel) {
     let n_examples = data.statements.len() * cfg.epochs;
     let mut runs = Vec::new();
     let mut fingerprints: Vec<String> = Vec::new();
@@ -144,12 +136,12 @@ fn train_mode(
             sqlan_par::with_threads(t, || train_model(kind, Task::Classify(3), data, cfg, None));
         let secs = start.elapsed().as_secs_f64();
         let exps = n_examples as f64 / secs;
-        eprintln!("    {mode:>11} {t} thread(s): {secs:.3}s ({exps:.0} examples/s)");
+        eprintln!("    {t} thread(s): {secs:.3}s ({exps:.0} examples/s)");
         runs.push((t, secs, exps));
         fingerprints.push(model.save_json().expect("neural models persist"));
         last = Some(model);
     }
-    let scaling = ModeScaling {
+    let scaling = Scaling {
         deterministic: fingerprints.windows(2).all(|w| w[0] == w[1]),
         runs,
     };
@@ -204,25 +196,23 @@ fn main() {
     let mut models = Vec::new();
     for kind in [ModelKind::WCnn, ModelKind::CLstm] {
         eprintln!("[bench_train] model {}", kind.name());
-        let (per_example, _) = train_mode("per_example", kind, &threads, &data, &cfg);
-        let (batched, model) = train_mode("batched", kind, &threads, &data, &cfg);
+        let (training, model) = train_scaling(kind, &threads, &data, &cfg);
 
-        // SIMD A/B: batched training once more at the lowest measured
-        // thread count with the kernel tier forced to the scalar oracle.
-        // The trained parameters must match the auto-tier run bit for
-        // bit (the adaptive training tile resolves once per process, so
-        // only the kernel tier differs between the two runs).
+        // SIMD A/B: training once more at the lowest measured thread
+        // count with the kernel tier forced to the scalar oracle. The
+        // trained parameters must match the auto-tier run bit for bit
+        // (the training tile is a constant, so only the kernel tier
+        // differs between the two runs).
         let lowest = *threads.iter().min().expect("at least one thread count");
         sqlan_simd::force(Some(Tier::Scalar));
-        let (scalar_scaling, scalar_model) = train_mode("batched", kind, &[lowest], &data, &cfg);
+        let (scalar_scaling, scalar_model) = train_scaling(kind, &[lowest], &data, &cfg);
         sqlan_simd::force(None);
         let &(_, scalar_secs, scalar_exps) = &scalar_scaling.runs[0];
         let tiers_bit_identical = scalar_model.save_json().expect("neural models persist")
             == model.save_json().expect("neural models persist");
 
-        // Serving contract on the batched-path model: batched inference
-        // must be byte-equal to per-statement inference at every
-        // measured thread count.
+        // Serving contract: batched inference must be byte-equal to
+        // per-statement inference at every measured thread count.
         let solo: Vec<Vec<u32>> = test_x
             .iter()
             .map(|s| model.predict_proba(s).iter().map(|f| f.to_bits()).collect())
@@ -238,33 +228,26 @@ fn main() {
             })
         });
 
-        // Ratio at the lowest measured thread count (the acceptance
-        // number is the 1-thread ratio when 1 is measured).
-        let at_lowest = |m: &ModeScaling| {
-            m.runs
-                .iter()
-                .min_by_key(|(t, _, _)| *t)
-                .map(|&(_, _, e)| e)
-                .expect("at least one thread count")
-        };
-        let speedup = at_lowest(&batched) / at_lowest(&per_example);
-        let speedup_simd = at_lowest(&batched) / scalar_exps.max(1e-9);
+        let at_lowest = training
+            .runs
+            .iter()
+            .min_by_key(|(t, _, _)| *t)
+            .map(|&(_, _, e)| e)
+            .expect("at least one thread count");
+        let speedup_simd = at_lowest / scalar_exps.max(1e-9);
         eprintln!(
-            "    single-thread speedup batched/per-example: {speedup:.2}x, \
-             simd/scalar: {speedup_simd:.2}x; \
-             deterministic: pe={} b={}; predict bit-identical: {}; \
+            "    simd/scalar: {speedup_simd:.2}x; deterministic: {}; \
+             predict bit-identical: {batch_predict_bit_identical}; \
              tiers bit-identical: {tiers_bit_identical}",
-            per_example.deterministic, batched.deterministic, batch_predict_bit_identical
+            training.deterministic
         );
         models.push(ModelBench {
             model: kind.name().to_string(),
             n_train: train_x.len(),
             epochs: cfg.epochs,
-            per_example,
-            batched,
-            speedup_batched_at_1_thread: speedup,
+            training,
             batch_predict_bit_identical,
-            batched_scalar_tier: (scalar_secs, scalar_exps),
+            scalar_tier: (scalar_secs, scalar_exps),
             speedup_simd_at_1_thread: speedup_simd,
             tiers_bit_identical,
         });
@@ -298,7 +281,7 @@ fn main() {
     std::fs::write(&out, &json).expect("write BENCH_train.json");
     for m in &report.models {
         assert!(
-            m.per_example.deterministic && m.batched.deterministic,
+            m.training.deterministic,
             "{}: thread-count invariance violated — see BENCH_train.json",
             m.model
         );
@@ -306,12 +289,6 @@ fn main() {
             m.batch_predict_bit_identical,
             "{}: batched prediction diverged from per-statement — see BENCH_train.json",
             m.model
-        );
-        assert!(
-            m.speedup_batched_at_1_thread >= 1.0,
-            "{}: batched training slower than per-example ({}x)",
-            m.model,
-            m.speedup_batched_at_1_thread
         );
         assert!(
             m.tiers_bit_identical,

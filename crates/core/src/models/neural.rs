@@ -10,12 +10,10 @@
 //! one batched tape — packed-segment convolution for the CNN, padded
 //! batch with per-row masks for the LSTM, one `(B,K)·(K,N)` matmul per
 //! linear layer — instead of one graph per example. Inference rows are
-//! bit-identical to the per-example path (the kernels batch along rows
+//! bit-identical to the per-statement path (the kernels batch along rows
 //! only); training gradients accumulate across a tile's rows in example
 //! order and per-tile buffers merge in tile order, so trained parameters
-//! are bit-identical at any `SQLAN_THREADS`. Set
-//! `SQLAN_NN_TRAIN=per_example` to fall back to the pre-batching
-//! one-graph-per-example training loop (kept as the benchmark baseline).
+//! are bit-identical at any `SQLAN_THREADS`.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -32,91 +30,17 @@ use crate::config::{Granularity, TrainConfig};
 use crate::models::zoo::TrainData;
 use crate::text::{build_vocab, encode};
 
-/// Historical training tile: small enough that one 16-example paper
-/// minibatch still fans out across workers; large enough to amortize
-/// tape/clone overhead ~an order of magnitude.
-const TRAIN_TILE_DEFAULT: usize = 8;
-
-/// Examples per batched tape during training, resolved once per
-/// process: `SQLAN_NN_TILE=<n>` pins it; otherwise a one-shot
-/// micro-measurement of the training-shaped matmul picks between the
-/// historical tile and a wider one (wider tiles amortize better when
-/// the AVX2 kernel tier is active, but the win is machine-dependent).
-///
-/// The winner must beat the default *decisively* (>20% per example) so
-/// scheduling noise cannot flip the choice run to run. Note the tile
-/// does shape gradient summation: per-tile gradient sums merge in tile
-/// order, so a different tile width regroups the float adds. Parameters
-/// stay bit-identical across thread counts and SIMD tiers for whatever
-/// tile is chosen (the battery pins that); pin `SQLAN_NN_TILE` when two
-/// *separate runs* must train byte-identical parameters.
-fn train_tile() -> usize {
-    static TILE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *TILE.get_or_init(|| {
-        if let Ok(v) = std::env::var("SQLAN_NN_TILE") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-            eprintln!("[sqlan-core] ignoring invalid SQLAN_NN_TILE={v:?}");
-        }
-        measure_train_tile()
-    })
-}
-
-/// Time the LSTM-gate-shaped matmul `(tile, h)·(h, 4h)` per example for
-/// each candidate tile and keep the historical default unless a wider
-/// tile is decisively faster.
-fn measure_train_tile() -> usize {
-    const HIDDEN: usize = 32; // default `TrainConfig::hidden`
-    let mut best = (TRAIN_TILE_DEFAULT, f64::INFINITY);
-    for (ci, &tile) in [TRAIN_TILE_DEFAULT, 16, 32].iter().enumerate() {
-        let a = sqlan_nn::Tensor::from_vec(
-            tile,
-            HIDDEN,
-            (0..tile * HIDDEN)
-                .map(|i| (i as f32 * 0.37).sin())
-                .collect(),
-        );
-        let b = sqlan_nn::Tensor::from_vec(
-            HIDDEN,
-            4 * HIDDEN,
-            (0..HIDDEN * 4 * HIDDEN)
-                .map(|i| (i as f32 * 0.11).cos())
-                .collect(),
-        );
-        let mut out = sqlan_nn::Tensor::zeros(tile, 4 * HIDDEN);
-        // Min over batches: scheduling noise only ever inflates a
-        // sample, so the minimum is the stable estimate.
-        let mut t_min = f64::INFINITY;
-        for _ in 0..5 {
-            let t0 = std::time::Instant::now();
-            for _ in 0..50 {
-                out.matmul_acc(&a, &b);
-            }
-            t_min = t_min.min(t0.elapsed().as_secs_f64());
-        }
-        let per_example = t_min / tile as f64;
-        let decisive = if ci == 0 { 1.0 } else { 0.8 };
-        if per_example < best.1 * decisive {
-            best = (tile, per_example);
-        }
-    }
-    best.0
-}
+/// Examples per batched tape during training: small enough that one
+/// 16-example paper minibatch still fans out across workers, large
+/// enough to amortize tape/clone overhead ~an order of magnitude. It is
+/// a constant because the tile shapes gradient summation (per-tile sums
+/// merge in tile order), so every process must use the same width to
+/// train the same parameters.
+const TRAIN_TILE: usize = 8;
 
 /// Examples per batched tape during inference (serving batches are
 /// bigger and have no gradient memory, so tiles can be wider).
 const PREDICT_TILE: usize = 32;
-
-/// Batched training unless `SQLAN_NN_TRAIN=per_example` (the
-/// pre-batching baseline, kept for `bench_train`'s comparison).
-fn batched_training() -> bool {
-    std::env::var("SQLAN_NN_TRAIN")
-        .map(|v| v != "per_example")
-        .unwrap_or(true)
-}
 
 /// Which sequence encoder the model uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -300,7 +224,6 @@ impl NeuralModel {
         let mut best: Option<(f64, Params)> = None;
         let mut since_best = 0usize;
 
-        let batched = batched_training();
         for _epoch in 0..cfg.epochs {
             order.shuffle(&mut rng);
             for chunk in order.chunks(cfg.batch.max(1)) {
@@ -308,94 +231,58 @@ impl NeuralModel {
                 // chunk order: the stream is independent of both worker
                 // scheduling and the tile plan (mask length is
                 // architecture-constant).
+                let dropout = model.cfg.dropout > 0.0;
                 let keep = 1.0 - model.cfg.dropout;
-                let masks: Vec<Option<Vec<bool>>> = chunk
-                    .iter()
-                    .map(|_| {
-                        (model.cfg.dropout > 0.0).then(|| dropout_mask(feat_dim, keep, &mut rng))
-                    })
-                    .collect();
+                let masks: Vec<Vec<bool>> = if dropout {
+                    chunk
+                        .iter()
+                        .map(|_| dropout_mask(feat_dim, keep, &mut rng))
+                        .collect()
+                } else {
+                    Vec::new()
+                };
                 let scale = 1.0 / chunk.len() as f32;
                 let mut grads = model.params.zero_grads();
-                if batched {
-                    // Length-bucketed tiles; one batched tape per tile.
-                    let lens: Vec<usize> = chunk.iter().map(|&i| train_seqs[i].len()).collect();
-                    let tiles = plan_tiles(&lens, train_tile());
-                    let per_tile: Vec<Grads> = pool.par_map(&tiles, |tile| {
-                        let mut tile_grads = model.params.zero_grads();
-                        let mut g = Graph::new(&model.params);
-                        let seqs: Vec<&[u32]> = tile
-                            .indices
+                // Length-bucketed tiles; one batched tape per tile.
+                let lens: Vec<usize> = chunk.iter().map(|&i| train_seqs[i].len()).collect();
+                let tiles = plan_tiles(&lens, TRAIN_TILE);
+                let per_tile: Vec<Grads> = pool.par_map(&tiles, |tile| {
+                    let mut tile_grads = model.params.zero_grads();
+                    let mut g = Graph::new(&model.params);
+                    let seqs: Vec<&[u32]> = tile
+                        .indices
+                        .iter()
+                        .map(|&p| train_seqs[chunk[p]].as_slice())
+                        .collect();
+                    let mask_cat: Option<Vec<bool>> = dropout.then(|| {
+                        tile.indices
                             .iter()
-                            .map(|&p| train_seqs[chunk[p]].as_slice())
-                            .collect();
-                        let mask_cat: Option<Vec<bool>> = (model.cfg.dropout > 0.0).then(|| {
-                            tile.indices
-                                .iter()
-                                .flat_map(|&p| {
-                                    masks[p].as_deref().expect("mask drawn").iter().copied()
-                                })
-                                .collect()
-                        });
-                        let logits = model.logits_for_tile(&mut g, &seqs, mask_cat.as_deref());
-                        let losses = match (&model.task, &train_labels) {
-                            (Task::Classify(_), Labels::Classes(ys)) => {
-                                let ts: Vec<usize> =
-                                    tile.indices.iter().map(|&p| ys[chunk[p]]).collect();
-                                g.softmax_ce_rows(logits, ts)
-                            }
-                            (Task::Regress, Labels::Values(ys)) => {
-                                let ts: Vec<f32> =
-                                    tile.indices.iter().map(|&p| ys[chunk[p]] as f32).collect();
-                                g.huber_rows(logits, ts, model.cfg.huber_delta)
-                            }
-                            _ => panic!("task/label kind mismatch"),
-                        };
-                        // Seeding the summed loss with 1/batch hands every
-                        // per-row loss the same 1/batch gradient the
-                        // per-example path seeds directly.
-                        let loss = g.sum_all(losses);
-                        g.backward(loss, scale, &mut tile_grads);
-                        tile_grads
+                            .flat_map(|&p| masks[p].iter().copied())
+                            .collect()
                     });
-                    for tg in per_tile {
-                        grads.merge(&tg);
-                        tg.recycle();
-                    }
-                } else {
-                    // Pre-batching baseline: one graph per example with
-                    // fresh per-node allocations (no buffer arena — the
-                    // exact pre-tentpole behavior), private buffers
-                    // merged in example order.
-                    let jobs: Vec<(usize, Option<Vec<bool>>)> =
-                        chunk.iter().zip(masks).map(|(&i, m)| (i, m)).collect();
-                    let per_example: Vec<Grads> = pool.par_map(&jobs, |(i, mask)| {
-                        sqlan_nn::without_buffer_pool(|| {
-                            let mut item_grads = model.params.zero_grads();
-                            let mut g = Graph::new(&model.params);
-                            let feats = model.encode_features_legacy(
-                                &mut g,
-                                &train_seqs[*i],
-                                mask.as_deref(),
-                            );
-                            let out = model.head.forward(&mut g, feats);
-                            let loss = match (&model.task, &train_labels) {
-                                (Task::Classify(_), Labels::Classes(ys)) => {
-                                    g.softmax_ce(out, ys[*i])
-                                }
-                                (Task::Regress, Labels::Values(ys)) => {
-                                    g.huber(out, ys[*i] as f32, model.cfg.huber_delta)
-                                }
-                                _ => panic!("task/label kind mismatch"),
-                            };
-                            g.backward(loss, scale, &mut item_grads);
-                            item_grads
-                        })
-                    });
-                    for item in per_example {
-                        grads.merge(&item);
-                        item.recycle();
-                    }
+                    let logits = model.logits_for_tile(&mut g, &seqs, mask_cat.as_deref());
+                    let losses = match (&model.task, &train_labels) {
+                        (Task::Classify(_), Labels::Classes(ys)) => {
+                            let ts: Vec<usize> =
+                                tile.indices.iter().map(|&p| ys[chunk[p]]).collect();
+                            g.softmax_ce_rows(logits, ts)
+                        }
+                        (Task::Regress, Labels::Values(ys)) => {
+                            let ts: Vec<f32> =
+                                tile.indices.iter().map(|&p| ys[chunk[p]] as f32).collect();
+                            g.huber_rows(logits, ts, model.cfg.huber_delta)
+                        }
+                        _ => panic!("task/label kind mismatch"),
+                    };
+                    // Seeding the summed loss with 1/batch hands every
+                    // per-row loss a 1/batch gradient: the minibatch mean.
+                    let loss = g.sum_all(losses);
+                    g.backward(loss, scale, &mut tile_grads);
+                    tile_grads
+                });
+                for tg in per_tile {
+                    grads.merge(&tg);
+                    tg.recycle();
                 }
                 if model.cfg.clip > 0.0 {
                     grads.clip_global_norm(model.cfg.clip);
@@ -431,9 +318,6 @@ impl NeuralModel {
         if seqs.is_empty() {
             return f64::INFINITY;
         }
-        if !batched_training() {
-            return self.eval_loss_per_example(seqs, labels);
-        }
         let lens: Vec<usize> = seqs.iter().map(Vec::len).collect();
         let tiles = plan_tiles(&lens, PREDICT_TILE);
         let per_tile: Vec<f64> = self.cfg.pool().par_map(&tiles, |tile| {
@@ -463,32 +347,6 @@ impl NeuralModel {
             }
         });
         per_tile.iter().sum::<f64>() / seqs.len() as f64
-    }
-
-    /// The pre-batching evaluation loop (per-example graphs, summed in
-    /// example order) — the `SQLAN_NN_TRAIN=per_example` baseline.
-    fn eval_loss_per_example(&self, seqs: &[Vec<u32>], labels: &Labels<'_>) -> f64 {
-        let indexed: Vec<usize> = (0..seqs.len()).collect();
-        let losses: Vec<f64> = self.cfg.pool().par_map(&indexed, |&i| {
-            sqlan_nn::without_buffer_pool(|| {
-                let mut g = Graph::new(&self.params);
-                let feats = self.encode_features_legacy(&mut g, &seqs[i], None);
-                let out = self.head.forward(&mut g, feats);
-                match (&self.task, labels) {
-                    (Task::Classify(_), Labels::Classes(ys)) => {
-                        g.softmax_ce(out, ys[i]);
-                        let probs = g.softmax_probs(out);
-                        -(probs[ys[i]].max(1e-12) as f64).ln()
-                    }
-                    (Task::Regress, Labels::Values(ys)) => {
-                        let pred = g.value(out).item() as f64;
-                        sqlan_metrics::huber_loss(ys[i], pred, self.cfg.huber_delta as f64)
-                    }
-                    _ => panic!("task/label kind mismatch"),
-                }
-            })
-        });
-        losses.iter().sum::<f64>() / seqs.len() as f64
     }
 
     /// Batched tile forward: embeddings → encoder batch twin → optional
@@ -542,25 +400,6 @@ impl NeuralModel {
         let feats = match &self.encoder {
             Encoder::Cnn(bank) => bank.forward(g, x),
             Encoder::Lstm(stack) => stack.forward(g, x),
-        };
-        match mask {
-            Some(mask) if self.cfg.dropout > 0.0 => {
-                let keep = 1.0 - self.cfg.dropout;
-                g.dropout(feats, mask.to_vec(), keep)
-            }
-            _ => feats,
-        }
-    }
-
-    /// The pre-batching encoder (seed conv kernel, op-by-op LSTM cell
-    /// with per-step parameter pushes). Used only by the
-    /// `SQLAN_NN_TRAIN=per_example` baseline so `bench_train` measures
-    /// this PR's batched path against what actually shipped before it.
-    fn encode_features_legacy(&self, g: &mut Graph<'_>, seq: &[u32], mask: Option<&[bool]>) -> Var {
-        let x = self.emb.forward(g, seq);
-        let feats = match &self.encoder {
-            Encoder::Cnn(bank) => bank.forward_legacy(g, x),
-            Encoder::Lstm(stack) => stack.forward_legacy(g, x),
         };
         match mask {
             Some(mask) if self.cfg.dropout > 0.0 => {

@@ -115,8 +115,8 @@ impl Optimizer {
     ///
     /// `constant_folding` reads literal values (it evaluates them), and an
     /// unknown custom pass could do anything — either disables caching
-    /// entirely (the uncacheable-template escape hatch; see
-    /// `crates/engine/ARCHITECTURE.md`).
+    /// entirely (the uncacheable-template escape hatch; see "Plan cache &
+    /// parsing front end" in the repository's `ARCHITECTURE.md`).
     pub fn cache_safe(&self) -> bool {
         self.passes.iter().all(|p| {
             matches!(

@@ -72,7 +72,7 @@ pub trait Service: Send + Sync + 'static {
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Handler threads running [`Service::call`] (bounds concurrent
-    /// in-flight requests, like the threaded server's worker count).
+    /// in-flight requests).
     pub handler_threads: usize,
     /// Largest accepted `Content-Length`.
     pub max_body_bytes: usize,
@@ -553,9 +553,8 @@ impl<F: FnMut(&HttpError)> EventLoop<F> {
             }
             Parse::Error(e) => {
                 (self.on_parse_error)(&e);
-                // Same envelope bytes the threaded front end writes for
-                // the same error (serde_json-compact), so the two modes
-                // stay byte-identical on error paths too.
+                // The same compact `{"error": ...}` envelope the
+                // application's routes write with serde_json.
                 let body = format!("{{\"error\":\"{}\"}}", e.describe());
                 conn.out = render_json_response(e.status(), &body, false);
                 conn.out_pos = 0;

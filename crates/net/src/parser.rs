@@ -3,10 +3,9 @@
 //! The parser owns no socket: callers feed it whatever bytes they have
 //! (`feed`), and it answers [`Parse::Partial`] (need more),
 //! [`Parse::Request`] (one complete request), or [`Parse::Error`]
-//! (terminal — answer with [`HttpError::status`] and close). The same
-//! state machine therefore serves both the blocking thread-per-connection
-//! path (fed from a `BufReader`) and the epoll event loop (fed from
-//! non-blocking reads), so every parsing rule is enforced once.
+//! (terminal — answer with [`HttpError::status`] and close). The epoll
+//! event loop feeds it from non-blocking reads, and the property tests
+//! feed it the same bytes split at every boundary.
 //!
 //! Hardening rules, enforced *during* buffering rather than between
 //! reads:
@@ -455,9 +454,8 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// One application-layer answer: status, content type, and body. Both
-/// front ends render it with [`Answer::render`], which is what keeps
-/// their wire bytes identical.
+/// One application-layer answer: status, content type, and body. The
+/// event loop renders it with [`Answer::render`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Answer {
     pub status: u16,
@@ -493,9 +491,7 @@ impl Answer {
 }
 
 /// Render a response to bytes — head and body in one buffer so a single
-/// write can never straddle a Nagle + delayed-ACK stall. Both the
-/// threaded and the epoll front ends emit exactly these bytes, which is
-/// what makes the cross-mode byte-identity pin possible.
+/// write can never straddle a Nagle + delayed-ACK stall.
 pub fn render_response(status: u16, content_type: &str, body: &str, keep_alive: bool) -> Vec<u8> {
     let mut response = format!(
         "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",

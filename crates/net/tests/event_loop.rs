@@ -3,8 +3,6 @@
 //! parse-error responses, idle-timeout sweep, and many concurrent idle
 //! connections.
 
-#![cfg(target_os = "linux")]
-
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -33,36 +33,13 @@ const BINS: usize = 32;
 struct Arena {
     bins: Vec<Vec<Vec<f32>>>,
     tape_hint: usize,
-    enabled: bool,
 }
 
 thread_local! {
     static ARENA: RefCell<Arena> = RefCell::new(Arena {
         bins: (0..BINS).map(|_| Vec::new()).collect(),
         tape_hint: 0,
-        enabled: true,
     });
-}
-
-/// Run `f` with buffer pooling disabled on this thread: every tensor
-/// allocation is a fresh `Vec` and recycling drops buffers — the
-/// allocation behavior of the pre-arena engine. Exists so the
-/// `per_example` training baseline (`SQLAN_NN_TRAIN=per_example`)
-/// faithfully reproduces what this crate did before batched execution;
-/// benchmarks compare against that, not against a half-upgraded hybrid.
-pub fn without_buffer_pool<R>(f: impl FnOnce() -> R) -> R {
-    let prev = ARENA.with(|a| {
-        let mut a = a.borrow_mut();
-        std::mem::replace(&mut a.enabled, false)
-    });
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            ARENA.with(|a| a.borrow_mut().enabled = self.0);
-        }
-    }
-    let _restore = Restore(prev);
-    f()
 }
 
 /// Size class a request of `len` allocates from: smallest power of two
@@ -95,21 +72,15 @@ pub(crate) fn take_empty(cap: usize) -> Vec<f32> {
     if class >= BINS {
         return Vec::with_capacity(cap);
     }
-    ARENA.with(|a| {
-        let mut a = a.borrow_mut();
-        if !a.enabled {
-            return Vec::with_capacity(cap);
+    match ARENA.with(|a| a.borrow_mut().bins[class].pop()) {
+        Some(mut v) => {
+            v.clear();
+            v
         }
-        match a.bins[class].pop() {
-            Some(mut v) => {
-                v.clear();
-                v
-            }
-            // Round fresh allocations up to the class size so the
-            // buffer files back into the same bin it was taken from.
-            None => Vec::with_capacity(1usize << class),
-        }
-    })
+        // Round fresh allocations up to the class size so the buffer
+        // files back into the same bin it was taken from.
+        None => Vec::with_capacity(1usize << class),
+    }
 }
 
 /// Return a buffer to this thread's arena.
@@ -124,9 +95,6 @@ pub(crate) fn give(v: Vec<f32>) {
     }
     ARENA.with(|a| {
         let mut a = a.borrow_mut();
-        if !a.enabled {
-            return;
-        }
         let bin = &mut a.bins[class];
         if bin.len() < MAX_PER_BIN {
             bin.push(v);

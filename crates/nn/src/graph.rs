@@ -385,62 +385,6 @@ impl<'p> Graph<'p> {
         )
     }
 
-    /// Seed (libm) sigmoid for the benchmark baseline: same node and
-    /// same backward as [`Graph::sigmoid`], but the pre-`fastmath`
-    /// forward numerics and cost.
-    pub fn sigmoid_seed_kernel(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.push(v, Op::Sigmoid(a))
-    }
-
-    /// Seed (libm) tanh for the benchmark baseline: same node and same
-    /// backward as [`Graph::tanh`], pre-`fastmath` numerics and cost.
-    pub fn tanh_seed_kernel(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::tanh);
-        self.push(v, Op::Tanh(a))
-    }
-
-    /// The pre-batching convolution forward: pushes the same node (and
-    /// computes the same bits — identical per-element accumulation
-    /// order) as [`Graph::conv1d`], but with the seed's scalar
-    /// per-channel dot loop instead of the vectorizable
-    /// channel-axpy kernel. Kept verbatim so the `per_example`
-    /// benchmark baseline measures the implementation this crate
-    /// actually shipped before batched execution.
-    pub fn conv1d_seed_kernel(&mut self, input: Var, weight: Var, bias: Var, width: usize) -> Var {
-        let x = self.value(input);
-        let w = self.value(weight);
-        let b = self.value(bias);
-        let (seq, d) = x.shape();
-        assert!(seq >= width, "conv1d: sequence shorter than kernel");
-        assert_eq!(w.cols, width * d, "conv1d: kernel width mismatch");
-        assert_eq!(b.shape(), (1, w.rows), "conv1d: bias shape");
-        let k = w.rows;
-        let out_len = seq - width + 1;
-        let mut v = Tensor::zeros_pooled(out_len, k);
-        for j in 0..out_len {
-            let window = &x.data[j * d..(j + width) * d];
-            for ch in 0..k {
-                let kernel = w.row_slice(ch);
-                let mut acc = b.at(0, ch);
-                for (xi, wi) in window.iter().zip(kernel) {
-                    acc += xi * wi;
-                }
-                *v.at_mut(j, ch) = acc;
-            }
-        }
-        self.push(
-            v,
-            Op::Conv1dPacked {
-                input,
-                weight,
-                bias,
-                width,
-                segs: vec![(0, seq)],
-            },
-        )
-    }
-
     /// Max over all rows: (m, K) → (1, K).
     pub fn max_over_time(&mut self, a: Var) -> Var {
         let rows = self.value(a).rows;

@@ -140,21 +140,6 @@ impl Conv1dBank {
         self.forward_packed(g, x, &[(0, seq)])
     }
 
-    /// The pre-batching forward, one example at a time with the seed's
-    /// scalar convolution kernel (same bits, see
-    /// [`Graph::conv1d_seed_kernel`]). Benchmark baseline only.
-    pub fn forward_legacy(&self, g: &mut Graph<'_>, x: Var) -> Var {
-        let mut pooled = Vec::with_capacity(self.widths.len());
-        for (i, &w) in self.widths.iter().enumerate() {
-            let weight = g.param(self.weights[i]);
-            let bias = g.param(self.biases[i]);
-            let conv = g.conv1d_seed_kernel(x, weight, bias, w);
-            let act = g.relu(conv);
-            pooled.push(g.max_over_time(act));
-        }
-        g.concat_cols(&pooled)
-    }
-
     /// Batch twin: apply to a packed embedding (Σseqᵢ, d) whose
     /// per-example spans are `segs`, producing one pooled feature row
     /// per example — (B, out_dim). Every sequence must be at least
@@ -286,53 +271,6 @@ impl LstmStack {
     pub fn forward(&self, g: &mut Graph<'_>, x: Var) -> Var {
         let seq = g.value(x).rows;
         self.forward_batch(g, x, &[seq], seq)
-    }
-
-    /// The pre-batching forward: one timestep at a time with the
-    /// op-by-op cell (matmul/add/add_row/slice/tanh/sigmoid/mul — 16
-    /// tape nodes per layer-step), libm activations, and parameters
-    /// re-pushed at every step, exactly as this crate shipped before
-    /// the fused gate/cell ops. Benchmark baseline only
-    /// (`SQLAN_NN_TRAIN=per_example`).
-    pub fn forward_legacy(&self, g: &mut Graph<'_>, x: Var) -> Var {
-        let seq = g.value(x).rows;
-        let hidden = self.layers[0].hidden;
-        let mut hs: Vec<Var> = Vec::with_capacity(self.layers.len());
-        let mut cs: Vec<Var> = Vec::with_capacity(self.layers.len());
-        for _ in &self.layers {
-            hs.push(g.input(Tensor::zeros(1, hidden)));
-            cs.push(g.input(Tensor::zeros(1, hidden)));
-        }
-        for t in 0..seq {
-            let mut inp = g.select_row(x, t);
-            for (l, layer) in self.layers.iter().enumerate() {
-                let k = layer.hidden;
-                let wx = g.param(layer.wx);
-                let wh = g.param(layer.wh);
-                let b = g.param(layer.b);
-                let xw = g.matmul(inp, wx);
-                let hw = g.matmul(hs[l], wh);
-                let sum = g.add(xw, hw);
-                let gates = g.add_row(sum, b);
-                let c_tilde_lin = g.slice_cols(gates, 0, k);
-                let u_lin = g.slice_cols(gates, k, 2 * k);
-                let f_lin = g.slice_cols(gates, 2 * k, 3 * k);
-                let o_lin = g.slice_cols(gates, 3 * k, 4 * k);
-                let c_tilde = g.tanh_seed_kernel(c_tilde_lin);
-                let u = g.sigmoid_seed_kernel(u_lin);
-                let f = g.sigmoid_seed_kernel(f_lin);
-                let o = g.sigmoid_seed_kernel(o_lin);
-                let uc = g.mul(u, c_tilde);
-                let fc = g.mul(f, cs[l]);
-                let c_next = g.add(uc, fc);
-                let c_act = g.tanh_seed_kernel(c_next);
-                let h_next = g.mul(o, c_act);
-                hs[l] = h_next;
-                cs[l] = c_next;
-                inp = h_next;
-            }
-        }
-        hs[self.layers.len() - 1]
     }
 
     /// Batch twin: run the stack over a length-bucketed padded batch.
@@ -501,46 +439,6 @@ mod tests {
         for k in 0..pat.len() {
             assert!(a[k] >= pat[k] - 1e-5, "a[{k}]={} < pat={}", a[k], pat[k]);
             assert!(b[k] >= pat[k] - 1e-5, "b[{k}]={} < pat={}", b[k], pat[k]);
-        }
-    }
-
-    #[test]
-    fn legacy_cnn_forward_is_bit_identical_to_current() {
-        // The benchmark baseline must measure the old loop shape, not
-        // different numerics: same bits, slower kernel.
-        let mut r = rng();
-        let mut params = Params::new();
-        let emb = Embedding::new(&mut params, "e", 10, 8, &mut r);
-        let bank = Conv1dBank::new(&mut params, "cnn", &[3, 4, 5], 16, 8, &mut r);
-        let tokens: Vec<u32> = (0..40u32).map(|i| i % 10).collect();
-        let mut g = Graph::new(&params);
-        let x = emb.forward(&mut g, &tokens);
-        let now = bank.forward(&mut g, x);
-        let legacy = bank.forward_legacy(&mut g, x);
-        let now_bits: Vec<u32> = g.value(now).data.iter().map(|f| f.to_bits()).collect();
-        let legacy_bits: Vec<u32> = g.value(legacy).data.iter().map(|f| f.to_bits()).collect();
-        assert_eq!(now_bits, legacy_bits);
-    }
-
-    #[test]
-    fn legacy_lstm_forward_matches_current_closely() {
-        // The fused cell changed the gate-sum association (bias-first)
-        // and the activation implementation, so legacy is not bitwise —
-        // but it must still be the same function numerically.
-        let mut r = rng();
-        let mut params = Params::new();
-        let emb = Embedding::new(&mut params, "e", 20, 8, &mut r);
-        let stack = LstmStack::new(&mut params, "lstm", 8, 12, 2, &mut r);
-        let mut g = Graph::new(&params);
-        let x = emb.forward(&mut g, &[1, 5, 3, 7, 2, 9]);
-        let now_var = stack.forward(&mut g, x);
-        let now = g.value(now_var).clone();
-        let x2 = emb.forward(&mut g, &[1, 5, 3, 7, 2, 9]);
-        let legacy_var = stack.forward_legacy(&mut g, x2);
-        let legacy = g.value(legacy_var).clone();
-        assert_eq!(now.shape(), legacy.shape());
-        for (a, b) in now.data.iter().zip(&legacy.data) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
     }
 

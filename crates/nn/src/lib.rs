@@ -17,10 +17,9 @@
 //! batched inference is bit-identical to running examples one at a time
 //! (`tests/prop_batch.rs`). Tape storage is recycled through a
 //! thread-local buffer arena, so steady-state steps allocate O(1) fresh
-//! buffers; [`without_buffer_pool`] scopes that off for the pre-batching
-//! benchmark baseline. The engine's `ARCHITECTURE.md` ("Batched
-//! training") documents the bucketing, the bit-identity argument, and
-//! the gradient merge-order contract.
+//! buffers. The repository's `ARCHITECTURE.md` ("Batched training")
+//! documents the bucketing, the bit-identity argument, and the gradient
+//! merge-order contract.
 //!
 //! Gradient correctness for every op — including the fused and batched
 //! ones — is property-tested against central finite differences
@@ -51,7 +50,6 @@ pub mod optim;
 pub mod params;
 pub mod tensor;
 
-pub use arena::without_buffer_pool;
 pub use batch::{plan_tiles, Tile};
 pub use graph::{softmax_row, Graph, Seg, Var};
 pub use layers::{dropout_mask, Conv1dBank, Embedding, Linear, LstmLayer, LstmStack};

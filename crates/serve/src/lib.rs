@@ -16,12 +16,10 @@
 //!    micro-batching queue scored through the `predict_*_batch` APIs
 //!    (which fan out on the [`sqlan_par`] pool), fronted by a sharded
 //!    LRU cache keyed on normalized statement text. Saturation sheds.
-//! 4. **HTTP front end** ([`server`] + [`http`]): two interchangeable
-//!    front ends behind `SQLAN_HTTP` — the `sqlan-net` epoll event loop
-//!    (default on Linux) and a blocking thread-per-connection fallback —
-//!    both consuming the shared sans-io parser and emitting
-//!    byte-identical responses, with keep-alive, `POST /predict`,
-//!    `GET /healthz`, `GET /metrics`, and `POST /reload`.
+//! 4. **HTTP front end** ([`server`]): the `sqlan-net` epoll event
+//!    loop, consuming its sans-io parser, with keep-alive,
+//!    `POST /predict`, `GET /healthz`, `GET /metrics`, and
+//!    `POST /reload`. Serving is Linux-only, like `sqlan-net`.
 //!
 //! See `crates/serve/README.md` for a quickstart and
 //! `crates/bench/src/bin/bench_serve.rs` for the closed-loop load
@@ -33,7 +31,6 @@
 pub mod bundle;
 pub mod cache;
 pub mod client;
-pub mod http;
 pub mod metrics;
 pub mod registry;
 pub mod scoring;
@@ -46,6 +43,6 @@ pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use registry::{LiveBundle, ModelRegistry};
 pub use scoring::{Prediction, ScoreError, ScoredBatch, ScoringConfig, ScoringEngine};
 pub use server::{
-    start, ErrorResponse, HealthResponse, HttpMode, PredictRequest, PredictResponse, ReloadRequest,
+    start, ErrorResponse, HealthResponse, PredictRequest, PredictResponse, ReloadRequest,
     ReloadResponse, ServeConfig, ServerHandle, TraceDump, TraceEntry, TraceSpan,
 };

@@ -1,19 +1,10 @@
-//! The HTTP front end, in two interchangeable flavors behind
-//! `SQLAN_HTTP`:
-//!
-//! * **`epoll`** (default on Linux): the readiness-driven event loop
-//!   from [`sqlan_net`] — one I/O thread holds every connection
-//!   (non-blocking accept, per-connection buffers, idle sweep), and
-//!   `http_workers` handler threads run the routing below, so tens of
-//!   thousands of idle keep-alive connections cost an fd each, not a
-//!   thread each.
-//! * **`threads`** (fallback, and the default off-Linux): the classic
-//!   thread-per-connection accept loop on `std::net` — `http_workers`
-//!   bounds concurrent connections.
-//!
-//! Both flavors feed the same sans-io parser and the same routing, and
-//! render responses through the same byte renderer, so served bytes are
-//! identical across modes (pinned by `tests/e2e_http.rs`).
+//! The HTTP front end: the readiness-driven event loop from
+//! [`sqlan_net`]. One I/O thread holds every connection (non-blocking
+//! accept, per-connection buffers, idle sweep), and `http_workers`
+//! handler threads run the routing below, so tens of thousands of idle
+//! keep-alive connections cost an fd each, not a thread each. Responses
+//! render through the shared byte renderer, and `tests/e2e_http.rs` pins
+//! their bytes.
 //!
 //! | route              | body                                  | answer |
 //! |--------------------|---------------------------------------|--------|
@@ -32,66 +23,34 @@
 //! the trace ring behind `GET /debug/trace`; requests slower than
 //! `SQLAN_SLOW_MS` additionally log one stderr line.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 use sqlan_core::Problem;
-use sqlan_net::Answer;
+use sqlan_net::{Answer, Request};
 use sqlan_obs::TraceCtx;
 
-use crate::http::{
-    read_request, write_answer, write_json_response, HttpParser, ParseError, Request,
-};
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::registry::ModelRegistry;
 use crate::scoring::{Prediction, ScoreError, ScoreOptions, ScoringConfig, ScoringEngine};
-
-/// Which front end serves the sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HttpMode {
-    /// Readiness-driven epoll event loop (Linux only).
-    Epoll,
-    /// Blocking thread-per-connection accept loop.
-    Threads,
-}
-
-impl HttpMode {
-    /// Resolve the mode from `SQLAN_HTTP` (`epoll` | `threads`). Epoll
-    /// is the default on Linux; everywhere else the threaded fallback is
-    /// forced regardless of the variable.
-    pub fn from_env() -> HttpMode {
-        if !cfg!(target_os = "linux") {
-            return HttpMode::Threads;
-        }
-        match std::env::var("SQLAN_HTTP").as_deref() {
-            Ok("threads") => HttpMode::Threads,
-            _ => HttpMode::Epoll,
-        }
-    }
-}
 
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Request-handling threads. In `threads` mode each owns one
-    /// connection at a time (bounding concurrent connections); in
-    /// `epoll` mode they run routing for the single I/O loop (bounding
-    /// concurrent in-flight requests).
+    /// Request-handling threads: they run routing for the single I/O
+    /// loop, bounding concurrent in-flight requests.
     pub http_workers: usize,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
     /// Idle keep-alive connections are dropped after this long.
     pub idle_timeout: Duration,
-    /// Front-end flavor; defaults from `SQLAN_HTTP`.
-    pub http_mode: HttpMode,
-    /// Epoll mode only: accept stops above this many open connections.
+    /// Accept stops above this many open connections.
     pub max_connections: usize,
     pub scoring: ScoringConfig,
 }
@@ -103,7 +62,6 @@ impl Default for ServeConfig {
             http_workers: 4,
             max_body_bytes: 1 << 20,
             idle_timeout: Duration::from_secs(5),
-            http_mode: HttpMode::from_env(),
             max_connections: 120_000,
             scoring: ScoringConfig::default(),
         }
@@ -162,7 +120,7 @@ pub struct HealthResponse {
     /// Seconds since this server instance started — lets a probe detect
     /// a silently restarted (and therefore possibly stale-bundle) server.
     pub uptime_s: f64,
-    /// Active HTTP front end: `"epoll"` or `"threads"`.
+    /// Active HTTP front end (always `"epoll"`).
     pub http_tier: String,
 }
 
@@ -195,17 +153,6 @@ pub struct TraceDump {
     pub traces: Vec<TraceEntry>,
 }
 
-#[derive(Debug)]
-enum Backend {
-    Threads {
-        stop: Arc<AtomicBool>,
-        addr: SocketAddr,
-        threads: Vec<std::thread::JoinHandle<()>>,
-    },
-    #[cfg(target_os = "linux")]
-    Epoll(sqlan_net::EventLoopHandle),
-}
-
 /// A running server. Dropping the handle does NOT stop it; call
 /// [`ServerHandle::shutdown`].
 #[derive(Debug)]
@@ -213,7 +160,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     engine: Arc<ScoringEngine>,
     metrics: Arc<ServeMetrics>,
-    backend: Backend,
+    net: sqlan_net::EventLoopHandle,
 }
 
 impl ServerHandle {
@@ -230,205 +177,62 @@ impl ServerHandle {
         &self.metrics
     }
 
-    /// The front-end flavor actually serving.
-    pub fn http_mode(&self) -> HttpMode {
-        match self.backend {
-            Backend::Threads { .. } => HttpMode::Threads,
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(_) => HttpMode::Epoll,
-        }
-    }
-
-    /// Open connections (epoll mode; the threaded front end does not
-    /// track this — it reports 0).
+    /// Open connections.
     pub fn connections(&self) -> u64 {
-        match &self.backend {
-            Backend::Threads { .. } => 0,
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(h) => h.connections(),
-        }
+        self.net.connections()
     }
 
     /// Stop accepting, drain in-flight work, join all threads.
     pub fn shutdown(self) {
-        match self.backend {
-            Backend::Threads {
-                stop,
-                addr,
-                mut threads,
-            } => {
-                stop.store(true, Ordering::Release);
-                // One wake-up connection per acceptor thread unblocks
-                // `accept`.
-                for _ in 0..threads.len() {
-                    let _ = TcpStream::connect(addr);
-                }
-                for t in threads.drain(..) {
-                    let _ = t.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(h) => h.shutdown(),
-        }
+        self.net.shutdown();
         self.engine.shutdown();
     }
 }
 
-/// Start a server: bind, spawn scoring workers and the chosen HTTP front
-/// end, return immediately.
+/// Start a server: bind, spawn scoring workers and the event loop,
+/// return immediately.
 pub fn start(registry: Arc<ModelRegistry>, cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
     let engine = ScoringEngine::start(Arc::clone(&registry), cfg.scoring);
     let metrics = Arc::new(ServeMetrics::default());
-
-    #[cfg(target_os = "linux")]
-    if cfg.http_mode == HttpMode::Epoll {
-        let service = Arc::new(EpollService {
-            engine: Arc::clone(&engine),
-            metrics: Arc::clone(&metrics),
-        });
-        let handle = sqlan_net::serve(
-            listener,
-            service,
-            sqlan_net::NetConfig {
-                handler_threads: cfg.http_workers.max(1),
-                max_body_bytes: cfg.max_body_bytes,
-                idle_timeout: cfg.idle_timeout,
-                max_connections: cfg.max_connections,
-            },
-        )?;
-        return Ok(ServerHandle {
-            addr,
-            engine,
-            metrics,
-            backend: Backend::Epoll(handle),
-        });
-    }
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut threads = Vec::with_capacity(cfg.http_workers.max(1));
-    for i in 0..cfg.http_workers.max(1) {
-        let listener = listener.try_clone()?;
-        let engine = Arc::clone(&engine);
-        let metrics = Arc::clone(&metrics);
-        let stop = Arc::clone(&stop);
-        let cfg = cfg.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("sqlan-http-{i}"))
-                .spawn(move || loop {
-                    let (stream, _) = match listener.accept() {
-                        Ok(conn) => conn,
-                        Err(_) => {
-                            // Persistent accept errors (e.g. EMFILE under
-                            // fd exhaustion) must not busy-spin the
-                            // worker; back off briefly and re-check stop.
-                            if stop.load(Ordering::Acquire) {
-                                return;
-                            }
-                            std::thread::sleep(Duration::from_millis(10));
-                            continue;
-                        }
-                    };
-                    if stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    // Unwind guard: a panic while serving one connection
-                    // must drop that connection, not kill this acceptor
-                    // thread and silently shrink the front end.
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        handle_connection(stream, &engine, &metrics, &stop, &cfg)
-                    }));
-                })
-                .expect("spawn http worker"),
-        );
-    }
+    let service = Arc::new(EpollService {
+        engine: Arc::clone(&engine),
+        metrics: Arc::clone(&metrics),
+    });
+    let net = sqlan_net::serve(
+        listener,
+        service,
+        sqlan_net::NetConfig {
+            handler_threads: cfg.http_workers.max(1),
+            max_body_bytes: cfg.max_body_bytes,
+            idle_timeout: cfg.idle_timeout,
+            max_connections: cfg.max_connections,
+        },
+    )?;
     Ok(ServerHandle {
         addr,
         engine,
         metrics,
-        backend: Backend::Threads {
-            stop,
-            addr,
-            threads,
-        },
+        net,
     })
 }
 
-/// The epoll front end's application callback: identical routing and
-/// counter semantics to the threaded path, via [`respond`].
-#[cfg(target_os = "linux")]
+/// The event loop's application callback: routing and counters via
+/// [`respond`].
 #[derive(Debug)]
 struct EpollService {
     engine: Arc<ScoringEngine>,
     metrics: Arc<ServeMetrics>,
 }
 
-#[cfg(target_os = "linux")]
 impl sqlan_net::Service for EpollService {
     fn call(&self, req: &Request) -> Answer {
-        respond(req, &self.engine, &self.metrics, "epoll")
+        respond(req, &self.engine, &self.metrics)
     }
 
     fn on_parse_error(&self, _err: &sqlan_net::HttpError) {
         self.metrics.on_parse_error();
-    }
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    engine: &ScoringEngine,
-    metrics: &ServeMetrics,
-    stop: &AtomicBool,
-    cfg: &ServeConfig,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(cfg.idle_timeout))?;
-    // Write-path bound: a client that stops reading while we hold a
-    // large response must not pin this handler thread past the idle
-    // timeout (epoll mode bounds the same case via its idle sweep).
-    stream.set_write_timeout(Some(cfg.idle_timeout))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    // One parser for the connection's lifetime: pipelined bytes carry
-    // over between requests, and the head bound applies during
-    // buffering.
-    let mut parser = HttpParser::new(cfg.max_body_bytes);
-    loop {
-        let req = match read_request(&mut reader, &mut parser) {
-            Ok(req) => req,
-            // Clean close, idle/stalled timeout, transport error: done.
-            Err(ParseError::Eof) | Err(ParseError::Timeout) | Err(ParseError::Io(_)) => {
-                return Ok(())
-            }
-            // Protocol violations answer with their status (400/413/431)
-            // — including non-UTF-8 heads, which used to die as Io.
-            Err(ParseError::Http(e)) => {
-                metrics.on_parse_error();
-                let body = error_body(&e.describe());
-                write_json_response(&mut writer, e.status(), &body, false)?;
-                // Lingering close: drain the bytes the client already
-                // sent (e.g. the body after a rejected head) so close
-                // sends FIN, not an RST that could destroy the response
-                // in the client's receive queue.
-                let _ = writer.set_read_timeout(Some(Duration::from_millis(50)));
-                let mut scrap = [0u8; 8 * 1024];
-                for _ in 0..64 {
-                    match std::io::Read::read(&mut reader, &mut scrap) {
-                        Ok(n) if n > 0 => continue,
-                        _ => break,
-                    }
-                }
-                return Ok(());
-            }
-        };
-        let keep_alive = req.keep_alive && !stop.load(Ordering::Acquire);
-        let answer = respond(&req, engine, metrics, "threads");
-        write_answer(&mut writer, &answer, keep_alive)?;
-        if !keep_alive {
-            return Ok(());
-        }
     }
 }
 
@@ -464,15 +268,10 @@ fn route_label(method: &str, path: &str) -> &'static str {
     }
 }
 
-/// Route one request and maintain the request/error counters — shared
-/// verbatim by both front ends. Counters move *after* routing so every
-/// counted request has already landed in exactly one response class.
-fn respond(
-    req: &Request,
-    engine: &ScoringEngine,
-    metrics: &ServeMetrics,
-    tier: &'static str,
-) -> Answer {
+/// Route one request and maintain the request/error counters. Counters
+/// move *after* routing so every counted request has already landed in
+/// exactly one response class.
+fn respond(req: &Request, engine: &ScoringEngine, metrics: &ServeMetrics) -> Answer {
     let (path, query) = split_target(&req.path);
     let trace = TraceCtx::start(route_label(req.method.as_str(), path));
     let answer = {
@@ -480,7 +279,7 @@ fn respond(
         // anywhere below (parsing, cache probe, featurizers) attach
         // spans without threading the context explicitly.
         let _installed = trace.as_ref().map(sqlan_obs::trace::install_one);
-        route(req, path, query, engine, metrics, tier, trace.as_ref())
+        route(req, path, query, engine, metrics, trace.as_ref())
     };
     if let Some(t) = trace {
         let done = t.finish(answer.status);
@@ -495,19 +294,17 @@ fn respond(
     answer
 }
 
-#[allow(clippy::too_many_arguments)]
 fn route(
     req: &Request,
     path: &str,
     query: &str,
     engine: &ScoringEngine,
     metrics: &ServeMetrics,
-    tier: &'static str,
     trace: Option<&Arc<TraceCtx>>,
 ) -> Answer {
     match (req.method.as_str(), path) {
         ("POST", "/predict") => predict(req, engine, metrics, trace),
-        ("GET", "/healthz") => healthz(engine, metrics, tier),
+        ("GET", "/healthz") => healthz(engine, metrics),
         ("GET", "/metrics") => metrics_route(engine, metrics, query),
         ("GET", "/debug/trace") => trace_route(metrics, query),
         ("POST", "/reload") => reload(req, engine),
@@ -570,7 +367,7 @@ fn predict(
     }
 }
 
-fn healthz(engine: &ScoringEngine, metrics: &ServeMetrics, tier: &'static str) -> Answer {
+fn healthz(engine: &ScoringEngine, metrics: &ServeMetrics) -> Answer {
     let live = engine.registry().current();
     let body = HealthResponse {
         status: "ok".to_string(),
@@ -591,7 +388,7 @@ fn healthz(engine: &ScoringEngine, metrics: &ServeMetrics, tier: &'static str) -
             .map(|e| e.kind.name().to_string())
             .collect(),
         uptime_s: metrics.uptime_s(),
-        http_tier: tier.to_string(),
+        http_tier: "epoll".to_string(),
     };
     Answer::json(
         200,

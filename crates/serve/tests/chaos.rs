@@ -1,11 +1,10 @@
-//! Seeded chaos, end to end, in BOTH front-end modes: with scoring
-//! panics, stalls, and socket faults injected at fixed probabilities,
-//! concurrent retrying clients must see only well-formed responses from
-//! the expected status set, no panic may escape the process, the server
-//! must be healthy once the plane clears, the response-counter algebra
-//! must still add up, and the fault schedule itself must replay: each
-//! point's fire count equals the pure `decide` function summed over its
-//! observed calls.
+//! Seeded chaos, end to end: with scoring panics, stalls, and socket
+//! faults injected at fixed probabilities, concurrent retrying clients
+//! must see only well-formed responses from the expected status set, no
+//! panic may escape the process, the server must be healthy once the
+//! plane clears, the response-counter algebra must still add up, and the
+//! fault schedule itself must replay: each point's fire count equals the
+//! pure `decide` function summed over its observed calls.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -13,7 +12,7 @@ use std::time::Duration;
 
 use sqlan_core::{train_model, Dataset, Labels, ModelKind, Problem, Task, TrainConfig, TrainData};
 use sqlan_serve::{
-    save_bundle, Client, HttpMode, ModelRegistry, PredictRequest, PredictResponse, ReloadRequest,
+    save_bundle, Client, ModelRegistry, PredictRequest, PredictResponse, ReloadRequest,
     RetryPolicy, ScoringConfig, ServeConfig, ServerHandle,
 };
 use sqlan_workload::{build_sdss, Scale, SdssConfig};
@@ -24,7 +23,7 @@ const CHAOS_SPEC: &str =
 const CLIENTS: usize = 3;
 const REQUESTS_PER_CLIENT: usize = 60;
 
-fn boot(mode: HttpMode, tag: &str) -> (ServerHandle, std::path::PathBuf, Vec<String>) {
+fn boot(tag: &str) -> (ServerHandle, std::path::PathBuf, Vec<String>) {
     let w = build_sdss(SdssConfig {
         n_sessions: 40,
         scale: Scale(0.02),
@@ -47,11 +46,7 @@ fn boot(mode: HttpMode, tag: &str) -> (ServerHandle, std::path::PathBuf, Vec<Str
         },
         None,
     );
-    let dir = std::env::temp_dir().join(format!(
-        "sqlan-chaos-{tag}-{:?}-{}",
-        mode,
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("sqlan-chaos-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("tmp dir");
     save_bundle(&dir, "chaos", 7, &[(Problem::ErrorClassification, &model)]).expect("save");
@@ -60,7 +55,6 @@ fn boot(mode: HttpMode, tag: &str) -> (ServerHandle, std::path::PathBuf, Vec<Str
         registry,
         ServeConfig {
             http_workers: 2,
-            http_mode: mode,
             idle_timeout: Duration::from_secs(2),
             scoring: ScoringConfig {
                 workers: 2,
@@ -74,14 +68,6 @@ fn boot(mode: HttpMode, tag: &str) -> (ServerHandle, std::path::PathBuf, Vec<Str
     (handle, dir, ds.statements)
 }
 
-fn modes() -> Vec<HttpMode> {
-    if cfg!(target_os = "linux") {
-        vec![HttpMode::Epoll, HttpMode::Threads]
-    } else {
-        vec![HttpMode::Threads]
-    }
-}
-
 /// One client's share of the storm. Transport errors (injected resets)
 /// reconnect and move on; everything that *does* come back must be a
 /// well-formed response from the expected status set.
@@ -90,7 +76,6 @@ fn client_storm(
     tid: usize,
     statements: &[String],
     saw_degraded: &AtomicBool,
-    mode: HttpMode,
 ) {
     let mut client = Client::connect(addr).expect("connect");
     let policy = RetryPolicy {
@@ -134,10 +119,10 @@ fn client_storm(
             Ok((status, body)) => {
                 assert!(
                     matches!(status, 200 | 400 | 500 | 503 | 504),
-                    "[{mode:?}] client {tid} req {i}: unexpected status {status}: {body}"
+                    "client {tid} req {i}: unexpected status {status}: {body}"
                 );
                 let _: serde_json::Value = serde_json::from_str(&body).unwrap_or_else(|e| {
-                    panic!("[{mode:?}] client {tid} req {i}: malformed body ({e}): {body:?}")
+                    panic!("client {tid} req {i}: malformed body ({e}): {body:?}")
                 });
                 if status == 200 {
                     if let Ok(p) = serde_json::from_str::<PredictResponse>(&body) {
@@ -149,7 +134,7 @@ fn client_storm(
                 if i % 13 == 6 && i % 7 != 3 && i % 7 != 5 && !(i % 11 == 4 && tid == 0) {
                     assert_eq!(
                         status, 504,
-                        "[{mode:?}] client {tid} req {i}: expired deadline must shed with 504"
+                        "client {tid} req {i}: expired deadline must shed with 504"
                     );
                 }
             }
@@ -164,89 +149,87 @@ fn client_storm(
 
 #[test]
 fn seeded_chaos_serves_well_formed_responses_in_both_modes() {
-    for mode in modes() {
-        let (handle, dir, statements) = boot(mode, "storm");
-        let guard = sqlan_fault::install(CHAOS_SEED, CHAOS_SPEC).expect("install chaos plane");
+    let (handle, dir, statements) = boot("storm");
+    let guard = sqlan_fault::install(CHAOS_SEED, CHAOS_SPEC).expect("install chaos plane");
 
-        let saw_degraded = Arc::new(AtomicBool::new(false));
-        let statements = Arc::new(statements);
-        let mut threads = Vec::new();
-        for tid in 0..CLIENTS {
-            let addr = handle.addr();
-            let statements = Arc::clone(&statements);
-            let saw_degraded = Arc::clone(&saw_degraded);
-            threads.push(std::thread::spawn(move || {
-                client_storm(addr, tid, &statements, &saw_degraded, mode)
-            }));
-        }
-        for t in threads {
-            t.join().expect("no client panicked");
-        }
-
-        // Schedule audit, read while the plane is still installed: each
-        // point's fire count must equal the pure decision function
-        // summed over its observed calls — the "same seed, same
-        // schedule" contract, checked against what actually ran.
-        let stats = sqlan_fault::stats();
-        assert!(!stats.is_empty(), "fault plane vanished mid-test");
-        let mut panic_fires = 0u64;
-        for p in &stats {
-            let replayed: u64 = (0..p.calls)
-                .filter(|&n| sqlan_fault::decide(CHAOS_SEED, &p.rule.point, n, p.rule.trigger))
-                .count() as u64;
-            assert_eq!(
-                p.fires, replayed,
-                "[{mode:?}] {}: {} fires recorded, {} replayed over {} calls",
-                p.rule.point, p.fires, replayed, p.calls
-            );
-            if p.rule.point == "score.panic" {
-                panic_fires = p.fires;
-            }
-        }
-        assert!(
-            stats
-                .iter()
-                .any(|p| p.rule.point == "score.panic" && p.calls > 0),
-            "[{mode:?}] the storm never reached the scoring path"
-        );
-        drop(guard);
-
-        // The plane is gone: the server must be healthy, not limping.
-        let mut client = Client::connect(handle.addr()).expect("reconnect");
-        let (status, _) = client.get("/healthz").expect("healthz");
-        assert_eq!(status, 200, "[{mode:?}] unhealthy after chaos cleared");
-
-        let (status, body) = client.get("/metrics").expect("metrics");
-        assert_eq!(status, 200);
-        let m: sqlan_serve::MetricsSnapshot = serde_json::from_str(&body).expect("metrics json");
-        // Counter algebra at quiescence: every request got exactly one
-        // response class, panics included.
-        assert_eq!(
-            m.http_requests,
-            m.responses_2xx + m.responses_4xx + m.responses_5xx,
-            "[{mode:?}] response classes must partition requests"
-        );
-        if panic_fires > 0 {
-            assert!(
-                m.worker_panics >= panic_fires,
-                "[{mode:?}] {panic_fires} injected panics but only {} caught",
-                m.worker_panics
-            );
-            assert!(
-                saw_degraded.load(Ordering::Relaxed) || m.degraded_responses > 0,
-                "[{mode:?}] panics fired but nothing degraded — who answered those requests?"
-            );
-        }
-        assert!(
-            m.deadline_expired > 0,
-            "[{mode:?}] the zero-deadline requests never shed"
-        );
-        assert!(
-            m.breaker_opens >= 1,
-            "[{mode:?}] repeated reload failures never opened the breaker"
-        );
-
-        handle.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
+    let saw_degraded = Arc::new(AtomicBool::new(false));
+    let statements = Arc::new(statements);
+    let mut threads = Vec::new();
+    for tid in 0..CLIENTS {
+        let addr = handle.addr();
+        let statements = Arc::clone(&statements);
+        let saw_degraded = Arc::clone(&saw_degraded);
+        threads.push(std::thread::spawn(move || {
+            client_storm(addr, tid, &statements, &saw_degraded)
+        }));
     }
+    for t in threads {
+        t.join().expect("no client panicked");
+    }
+
+    // Schedule audit, read while the plane is still installed: each
+    // point's fire count must equal the pure decision function
+    // summed over its observed calls — the "same seed, same
+    // schedule" contract, checked against what actually ran.
+    let stats = sqlan_fault::stats();
+    assert!(!stats.is_empty(), "fault plane vanished mid-test");
+    let mut panic_fires = 0u64;
+    for p in &stats {
+        let replayed: u64 = (0..p.calls)
+            .filter(|&n| sqlan_fault::decide(CHAOS_SEED, &p.rule.point, n, p.rule.trigger))
+            .count() as u64;
+        assert_eq!(
+            p.fires, replayed,
+            "{}: {} fires recorded, {} replayed over {} calls",
+            p.rule.point, p.fires, replayed, p.calls
+        );
+        if p.rule.point == "score.panic" {
+            panic_fires = p.fires;
+        }
+    }
+    assert!(
+        stats
+            .iter()
+            .any(|p| p.rule.point == "score.panic" && p.calls > 0),
+        "the storm never reached the scoring path"
+    );
+    drop(guard);
+
+    // The plane is gone: the server must be healthy, not limping.
+    let mut client = Client::connect(handle.addr()).expect("reconnect");
+    let (status, _) = client.get("/healthz").expect("healthz");
+    assert_eq!(status, 200, "unhealthy after chaos cleared");
+
+    let (status, body) = client.get("/metrics").expect("metrics");
+    assert_eq!(status, 200);
+    let m: sqlan_serve::MetricsSnapshot = serde_json::from_str(&body).expect("metrics json");
+    // Counter algebra at quiescence: every request got exactly one
+    // response class, panics included.
+    assert_eq!(
+        m.http_requests,
+        m.responses_2xx + m.responses_4xx + m.responses_5xx,
+        "response classes must partition requests"
+    );
+    if panic_fires > 0 {
+        assert!(
+            m.worker_panics >= panic_fires,
+            "{panic_fires} injected panics but only {} caught",
+            m.worker_panics
+        );
+        assert!(
+            saw_degraded.load(Ordering::Relaxed) || m.degraded_responses > 0,
+            "panics fired but nothing degraded — who answered those requests?"
+        );
+    }
+    assert!(
+        m.deadline_expired > 0,
+        "the zero-deadline requests never shed"
+    );
+    assert!(
+        m.breaker_opens >= 1,
+        "repeated reload failures never opened the breaker"
+    );
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -158,6 +158,9 @@ fn crash_at_every_commit_point_yields_old_or_new_never_torn() {
 fn recovery_sweep_removes_temps_and_orphans() {
     let dir = tmp_dir("recover");
     let model = train_classifier(false);
+    // The sweep test above installs `bundle.crash` planes process-wide;
+    // hold the fault lock so none of them fires inside this save.
+    let _no_faults = sqlan_fault::exclusive();
     save_bundle(&dir, "a", 1, &[(Problem::ErrorClassification, &model)]).expect("save");
     // Debris a crashed save could leave: a half-written temp and a
     // fully-written artifact no manifest references.

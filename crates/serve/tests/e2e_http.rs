@@ -11,8 +11,6 @@ use std::time::Duration;
 use sqlan_core::{
     train_model, Dataset, Labels, ModelKind, Problem, Task, TrainConfig, TrainData, TrainedModel,
 };
-#[cfg(target_os = "linux")]
-use sqlan_serve::HttpMode;
 use sqlan_serve::{
     save_bundle, Client, ModelRegistry, PredictRequest, PredictResponse, ScoringConfig, ServeConfig,
 };
@@ -246,14 +244,12 @@ fn http_predictions_match_in_process_including_hot_swap() {
     let _ = std::fs::remove_dir_all(&dir_b);
 }
 
-/// The two front ends must be indistinguishable on the wire: for every
-/// request shape — happy path, routing errors, and each hardened parse
-/// error — the complete response byte stream (status line, headers,
-/// body) is compared across a threaded and an epoll server booted on
-/// the same bundle.
-#[cfg(target_os = "linux")]
+/// The wire contract, pinned: for every request shape — happy path,
+/// routing errors, and each hardened parse error — one connection, one
+/// request, and the complete response (status line, headers, body) must
+/// be exactly these bytes.
 #[test]
-fn front_ends_serve_byte_identical_responses() {
+fn front_end_serves_pinned_status_lines_and_bodies() {
     use std::io::{Read, Write};
     use std::net::{SocketAddr, TcpStream};
 
@@ -263,40 +259,34 @@ fn front_ends_serve_byte_identical_responses() {
         ..TrainConfig::tiny()
     };
     let classifier = train_classifier(ModelKind::WTfidf, &cls_ds, &cfg);
-    let dir = tmp_dir("byte-identity");
+    let dir = tmp_dir("wire-pin");
     save_bundle(
         &dir,
-        "byte-identity",
+        "wire-pin",
         2020,
         &[(Problem::ErrorClassification, &classifier)],
     )
     .expect("save");
     let registry = Arc::new(ModelRegistry::open(&dir).expect("open"));
-    let boot = |mode: HttpMode| {
-        sqlan_serve::start(
-            Arc::clone(&registry),
-            ServeConfig {
-                http_workers: 2,
-                http_mode: mode,
-                scoring: ScoringConfig {
-                    workers: 1,
-                    max_batch: 16,
-                    max_wait: Duration::from_millis(1),
-                    ..ScoringConfig::default()
-                },
-                ..ServeConfig::default()
+    let handle = sqlan_serve::start(
+        registry,
+        ServeConfig {
+            http_workers: 2,
+            scoring: ScoringConfig {
+                workers: 1,
+                max_batch: 16,
+                max_wait: Duration::from_millis(1),
+                ..ScoringConfig::default()
             },
-        )
-        .expect("start server")
-    };
-    let epoll = boot(HttpMode::Epoll);
-    let threads = boot(HttpMode::Threads);
-    assert_eq!(epoll.http_mode(), HttpMode::Epoll);
-    assert_eq!(threads.http_mode(), HttpMode::Threads);
+            ..ServeConfig::default()
+        },
+    )
+    .expect("start server");
 
     /// One connection, one request, read to EOF (every probe either sends
-    /// `Connection: close` or triggers an error that closes).
-    fn raw_exchange(addr: SocketAddr, raw: &[u8]) -> Vec<u8> {
+    /// `Connection: close` or triggers an error that closes). Returns the
+    /// status line and the body, after asserting the exact header block.
+    fn exchange(addr: SocketAddr, raw: &[u8]) -> (String, String) {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
@@ -304,85 +294,101 @@ fn front_ends_serve_byte_identical_responses() {
         stream.write_all(raw).expect("write");
         let mut response = Vec::new();
         stream.read_to_end(&mut response).expect("read");
-        response
-    }
-
-    let predict = predict_body(Problem::ErrorClassification, &cls_ds.statements[..8]);
-    let probes: Vec<(&str, Vec<u8>)> = vec![
-        (
-            "predict",
-            format!(
-                "POST /predict HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{}",
-                predict.len(),
-                predict
-            )
-            .into_bytes(),
-        ),
-        (
-            "bad json",
-            b"POST /predict HTTP/1.1\r\ncontent-length: 9\r\nconnection: close\r\n\r\n{not json"
-                .to_vec(),
-        ),
-        (
-            "404",
-            b"GET /no-such-route HTTP/1.1\r\nconnection: close\r\n\r\n".to_vec(),
-        ),
-        (
-            "405",
-            b"DELETE /predict HTTP/1.1\r\nconnection: close\r\n\r\n".to_vec(),
-        ),
-        (
-            "signed content-length",
-            b"POST /predict HTTP/1.1\r\ncontent-length: +4\r\n\r\nabcd".to_vec(),
-        ),
-        (
-            "conflicting content-lengths",
-            b"POST /predict HTTP/1.1\r\ncontent-length: 4\r\ncontent-length: 5\r\n\r\nabcd"
-                .to_vec(),
-        ),
-        ("non-UTF-8 head", b"GET /\xff\xfe HTTP/1.1\r\n\r\n".to_vec()),
-        ("oversized head", {
-            let mut raw = b"GET / HTTP/1.1\r\nx-filler: ".to_vec();
-            raw.resize(20 * 1024, b'a'); // > MAX_HEAD_BYTES in one write
-            raw
-        }),
-    ];
-    for (name, raw) in &probes {
-        let from_epoll = raw_exchange(epoll.addr(), raw);
-        let from_threads = raw_exchange(threads.addr(), raw);
+        let text = String::from_utf8(response).expect("utf8 response");
+        let (head, body) = text.split_once("\r\n\r\n").expect("head terminator");
+        let (status_line, headers) = head.split_once("\r\n").expect("status line");
         assert_eq!(
-            String::from_utf8_lossy(&from_epoll),
-            String::from_utf8_lossy(&from_threads),
-            "probe `{name}` must serve identical bytes in both modes"
+            headers,
+            format!(
+                "content-type: application/json\r\ncontent-length: {}\r\nconnection: close",
+                body.len()
+            ),
+            "headers for `{status_line}`"
         );
-        assert!(!from_epoll.is_empty(), "probe `{name}` got no response");
+        (status_line.to_string(), body.to_string())
     }
 
-    // `/healthz` intentionally differs per instance (uptime, HTTP tier),
-    // so it is compared structurally with those fields masked.
-    let health_probe = b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n";
-    let parse_health = |raw: Vec<u8>| -> sqlan_serve::HealthResponse {
-        let text = String::from_utf8(raw).expect("utf8 health response");
-        let body = text.split("\r\n\r\n").nth(1).expect("health body");
-        serde_json::from_str(body).expect("health json")
+    let predict_statements = &cls_ds.statements[..8];
+    let predict = predict_body(Problem::ErrorClassification, predict_statements);
+    let oversized_head = {
+        let mut raw = b"GET / HTTP/1.1\r\nx-filler: ".to_vec();
+        raw.resize(20 * 1024, b'a'); // > MAX_HEAD_BYTES in one write
+        raw
     };
-    let mut from_epoll = parse_health(raw_exchange(epoll.addr(), health_probe));
-    let mut from_threads = parse_health(raw_exchange(threads.addr(), health_probe));
-    assert_eq!(from_epoll.http_tier, "epoll");
-    assert_eq!(from_threads.http_tier, "threads");
-    assert!(from_epoll.uptime_s >= 0.0 && from_threads.uptime_s >= 0.0);
-    from_epoll.uptime_s = 0.0;
-    from_threads.uptime_s = 0.0;
-    from_epoll.http_tier.clear();
-    from_threads.http_tier.clear();
-    assert_eq!(
-        serde_json::to_string(&from_epoll).expect("health json"),
-        serde_json::to_string(&from_threads).expect("health json"),
-        "healthz must be identical across modes apart from uptime/tier"
+    let addr = handle.addr();
+
+    let (status, body) = exchange(
+        addr,
+        format!(
+            "POST /predict HTTP/1.1\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{}",
+            predict.len(),
+            predict
+        )
+        .as_bytes(),
+    );
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    let response: PredictResponse = serde_json::from_str(&body).expect("predict json");
+    assert_matches_in_process(&response, &classifier, predict_statements);
+
+    let (status, body) = exchange(
+        addr,
+        b"POST /predict HTTP/1.1\r\ncontent-length: 9\r\nconnection: close\r\n\r\n{not json",
+    );
+    assert_eq!(status, "HTTP/1.1 400 Bad Request");
+    assert!(
+        body.starts_with(r#"{"error":"bad predict request: "#) && body.ends_with(r#""}"#),
+        "bad json body: {body}"
     );
 
-    epoll.shutdown();
-    threads.shutdown();
+    let error_probes: [(&str, &[u8], &str, &str); 6] = [
+        (
+            "unknown route",
+            b"GET /no-such-route HTTP/1.1\r\nconnection: close\r\n\r\n",
+            "HTTP/1.1 404 Not Found",
+            "no such route",
+        ),
+        (
+            "wrong method",
+            b"DELETE /predict HTTP/1.1\r\nconnection: close\r\n\r\n",
+            "HTTP/1.1 405 Method Not Allowed",
+            "method not allowed",
+        ),
+        (
+            "signed Content-Length",
+            b"POST /predict HTTP/1.1\r\ncontent-length: +4\r\n\r\nabcd",
+            "HTTP/1.1 400 Bad Request",
+            "malformed request: bad content-length",
+        ),
+        (
+            "conflicting Content-Length",
+            b"POST /predict HTTP/1.1\r\ncontent-length: 4\r\ncontent-length: 5\r\n\r\nabcd",
+            "HTTP/1.1 400 Bad Request",
+            "malformed request: conflicting content-length headers",
+        ),
+        (
+            "non-UTF-8 head",
+            b"GET /\xff\xfe HTTP/1.1\r\n\r\n",
+            "HTTP/1.1 400 Bad Request",
+            "malformed request: request line is not valid UTF-8",
+        ),
+        (
+            "oversized head",
+            &oversized_head,
+            "HTTP/1.1 431 Request Header Fields Too Large",
+            "request head too large",
+        ),
+    ];
+    for (name, raw, want_status, want_error) in error_probes {
+        let (status, body) = exchange(addr, raw);
+        assert_eq!(status, want_status, "probe `{name}`");
+        assert_eq!(
+            body,
+            format!(r#"{{"error":"{want_error}"}}"#),
+            "probe `{name}`"
+        );
+    }
+
+    handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

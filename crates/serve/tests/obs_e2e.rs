@@ -2,14 +2,13 @@
 //! and assert over HTTP that
 //!
 //! * `GET /debug/trace` returns per-stage spans (parse → cache probe →
-//!   queue wait → batch score) for that request, in **both** HTTP front
-//!   ends;
+//!   queue wait → batch score) for that request;
 //! * `GET /metrics?format=prom` is well-formed Prometheus text
 //!   exposition (HELP/TYPE headers, cumulative `_bucket` series with a
 //!   `+Inf` bound, `_sum`/`_count`);
 //! * prediction bytes are identical with observability on and off
 //!   (`SQLAN_OBS` is a pure observer);
-//! * `/healthz` reports the active front end and an uptime.
+//! * `/healthz` reports the HTTP tier (`"epoll"`) and an uptime.
 //!
 //! Everything lives in one `#[test]` because `sqlan_obs::set_enabled`
 //! is process-global: parallel test threads flipping it would race.
@@ -22,8 +21,8 @@ use sqlan_core::{
     train_model, Dataset, Labels, ModelKind, Problem, Task, TrainConfig, TrainData, TrainedModel,
 };
 use sqlan_serve::{
-    save_bundle, Client, HttpMode, ModelRegistry, PredictRequest, ScoringConfig, ServeConfig,
-    ServerHandle, TraceDump,
+    save_bundle, Client, ModelRegistry, PredictRequest, ScoringConfig, ServeConfig, ServerHandle,
+    TraceDump,
 };
 use sqlan_workload::{build_sdss, Scale, SdssConfig};
 
@@ -64,12 +63,11 @@ fn train_classifier(ds: &Dataset) -> TrainedModel {
     )
 }
 
-fn boot(registry: &Arc<ModelRegistry>, mode: HttpMode) -> ServerHandle {
+fn boot(registry: &Arc<ModelRegistry>) -> ServerHandle {
     sqlan_serve::start(
         Arc::clone(registry),
         ServeConfig {
             http_workers: 2,
-            http_mode: mode,
             scoring: ScoringConfig {
                 workers: 1,
                 max_batch: 16,
@@ -106,9 +104,9 @@ fn predict_span_names(client: &mut Client) -> Vec<String> {
     trace.spans.iter().map(|s| s.name.clone()).collect()
 }
 
-/// One front end's worth of assertions: trace spans, Prometheus text,
-/// healthz shape. Returns the `/predict` response bytes for obs-on.
-fn exercise(handle: &ServerHandle, tier: &str, statements: &[String]) -> String {
+/// Trace spans, Prometheus text, healthz shape, and the obs-on/off
+/// byte comparison against one running server.
+fn exercise(handle: &ServerHandle, statements: &[String]) {
     let mut client = Client::connect(handle.addr()).expect("connect");
     let body = predict_body(statements);
 
@@ -121,7 +119,7 @@ fn exercise(handle: &ServerHandle, tier: &str, statements: &[String]) -> String 
     for expected in ["parse", "normalize", "cache_probe", "batch_score"] {
         assert!(
             spans.iter().any(|s| s == expected),
-            "[{tier}] expected span `{expected}`, got {spans:?}"
+            "expected span `{expected}`, got {spans:?}"
         );
     }
 
@@ -147,11 +145,11 @@ fn exercise(handle: &ServerHandle, tier: &str, statements: &[String]) -> String 
         );
     }
 
-    // Healthz names the active front end and carries an uptime.
+    // Healthz names the HTTP tier and carries an uptime.
     let (status, health) = client.get("/healthz").expect("healthz");
     assert_eq!(status, 200);
     let health: sqlan_serve::HealthResponse = serde_json::from_str(&health).expect("health json");
-    assert_eq!(health.http_tier, tier);
+    assert_eq!(health.http_tier, "epoll");
     assert!(health.uptime_s >= 0.0);
     assert_eq!(health.generation, 1);
 
@@ -162,15 +160,13 @@ fn exercise(handle: &ServerHandle, tier: &str, statements: &[String]) -> String 
     assert_eq!(status, 200);
     assert_eq!(
         on_bytes, off_bytes,
-        "[{tier}] SQLAN_OBS must not change served bytes"
+        "SQLAN_OBS must not change served bytes"
     );
     let (status, dump) = client.get("/debug/trace").expect("trace obs-off");
     assert_eq!(status, 200);
     let dump: TraceDump = serde_json::from_str(&dump).expect("trace json");
     assert!(!dump.enabled);
     sqlan_obs::set_enabled(true);
-
-    on_bytes
 }
 
 #[test]
@@ -188,21 +184,9 @@ fn tracing_and_prometheus_cover_both_front_ends() {
     let registry = Arc::new(ModelRegistry::open(&dir).expect("open registry"));
     let statements: Vec<String> = ds.statements.iter().take(8).cloned().collect();
 
-    let threads = boot(&registry, HttpMode::Threads);
-    let from_threads = exercise(&threads, "threads", &statements);
-    threads.shutdown();
-
-    #[cfg(target_os = "linux")]
-    {
-        let epoll = boot(&registry, HttpMode::Epoll);
-        let from_epoll = exercise(&epoll, "epoll", &statements);
-        epoll.shutdown();
-        assert_eq!(
-            from_threads, from_epoll,
-            "prediction bytes must also match across front ends"
-        );
-    }
-    let _ = from_threads;
+    let handle = boot(&registry);
+    exercise(&handle, &statements);
+    handle.shutdown();
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,9 +1,10 @@
-//! Slow-loris regression, end to end against the real server in BOTH
-//! front-end modes: a client that dribbles a never-ending header must be
-//! answered with `431` as soon as the 16 KiB head bound fills — the
-//! server must not buffer without limit waiting for a line terminator
-//! that never comes — and a client that stalls mid-request must be
-//! disconnected by the idle timeout, not hold its slot forever.
+//! Slow-loris regression, end to end against the real server: a client
+//! that dribbles a never-ending header must be answered with `431` as
+//! soon as the 16 KiB head bound fills — the server must not buffer
+//! without limit waiting for a line terminator that never comes — a
+//! client that stalls mid-request must be disconnected by the idle
+//! timeout, not hold its slot forever, and a client that never reads its
+//! responses must not keep the server from serving anyone else.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -11,10 +12,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sqlan_core::{train_model, Dataset, Labels, ModelKind, Problem, Task, TrainConfig, TrainData};
-use sqlan_serve::{save_bundle, HttpMode, ModelRegistry, ScoringConfig, ServeConfig, ServerHandle};
+use sqlan_serve::{save_bundle, ModelRegistry, ScoringConfig, ServeConfig, ServerHandle};
 use sqlan_workload::{build_sdss, Scale, SdssConfig};
 
-fn boot(mode: HttpMode, tag: &str) -> (ServerHandle, std::path::PathBuf) {
+fn boot(tag: &str) -> (ServerHandle, std::path::PathBuf) {
     let w = build_sdss(SdssConfig {
         n_sessions: 40,
         scale: Scale(0.02),
@@ -37,11 +38,7 @@ fn boot(mode: HttpMode, tag: &str) -> (ServerHandle, std::path::PathBuf) {
         },
         None,
     );
-    let dir = std::env::temp_dir().join(format!(
-        "sqlan-loris-{tag}-{:?}-{}",
-        mode,
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("sqlan-loris-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("tmp dir");
     save_bundle(&dir, "loris", 7, &[(Problem::ErrorClassification, &model)]).expect("save");
@@ -50,7 +47,6 @@ fn boot(mode: HttpMode, tag: &str) -> (ServerHandle, std::path::PathBuf) {
         registry,
         ServeConfig {
             http_workers: 1,
-            http_mode: mode,
             idle_timeout: Duration::from_millis(400),
             scoring: ScoringConfig {
                 workers: 1,
@@ -63,80 +59,67 @@ fn boot(mode: HttpMode, tag: &str) -> (ServerHandle, std::path::PathBuf) {
     (handle, dir)
 }
 
-fn modes() -> Vec<HttpMode> {
-    if cfg!(target_os = "linux") {
-        vec![HttpMode::Epoll, HttpMode::Threads]
-    } else {
-        vec![HttpMode::Threads]
-    }
-}
-
 /// Dribble an endless header in small chunks. The server must answer
 /// `431` once `MAX_HEAD_BYTES` (16 KiB) have been buffered — well before
 /// the dribble would ever finish — and then close.
 #[test]
 fn endless_header_dribble_gets_431_within_the_head_bound() {
-    for mode in modes() {
-        let (handle, dir) = boot(mode, "dribble");
-        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("timeout");
-        stream
-            .write_all(b"GET /healthz HTTP/1.1\r\nx-loris: ")
-            .expect("head start");
-        // 64 dribbles * 512 B ≈ 2 * MAX_HEAD_BYTES, never a terminator.
-        // The server must answer midway (431 at the 16 KiB mark) — it
-        // must NOT absorb all of it silently. Poll for the response
-        // between dribbles and stop writing once it appears, so the
-        // server's close cannot RST the answer out of our receive queue.
-        stream
-            .set_read_timeout(Some(Duration::from_millis(5)))
-            .expect("poll timeout");
-        let chunk = [b'z'; 512];
-        let mut sent = 32usize;
-        let mut response = Vec::new();
-        let mut probe = [0u8; 1024];
-        for _ in 0..64 {
-            if stream.write_all(&chunk).is_err() {
-                break; // already rejected and closed — fine
-            }
-            sent += chunk.len();
-            match stream.read(&mut probe) {
-                Ok(0) => break,
-                Ok(n) => {
-                    response.extend_from_slice(&probe[..n]);
-                    break;
-                }
-                Err(_) => {} // nothing yet: keep dribbling
-            }
+    let (handle, dir) = boot("dribble");
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nx-loris: ")
+        .expect("head start");
+    // 64 dribbles * 512 B ≈ 2 * MAX_HEAD_BYTES, never a terminator.
+    // The server must answer midway (431 at the 16 KiB mark) — it
+    // must NOT absorb all of it silently. Poll for the response
+    // between dribbles and stop writing once it appears, so the
+    // server's close cannot RST the answer out of our receive queue.
+    stream
+        .set_read_timeout(Some(Duration::from_millis(5)))
+        .expect("poll timeout");
+    let chunk = [b'z'; 512];
+    let mut sent = 32usize;
+    let mut response = Vec::new();
+    let mut probe = [0u8; 1024];
+    for _ in 0..64 {
+        if stream.write_all(&chunk).is_err() {
+            break; // already rejected and closed — fine
         }
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("drain timeout");
-        let _ = stream.read_to_end(&mut response); // tolerate RST tail
-        let text = String::from_utf8_lossy(&response);
-        assert!(
-            text.starts_with("HTTP/1.1 431 "),
-            "[{mode:?}] expected 431, got {text:?} after {sent} dribbled bytes"
-        );
-        assert!(
-            text.contains("request head too large"),
-            "[{mode:?}] body: {text:?}"
-        );
-        handle.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
+        sent += chunk.len();
+        match stream.read(&mut probe) {
+            Ok(0) => break,
+            Ok(n) => {
+                response.extend_from_slice(&probe[..n]);
+                break;
+            }
+            Err(_) => {} // nothing yet: keep dribbling
+        }
     }
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("drain timeout");
+    let _ = stream.read_to_end(&mut response); // tolerate RST tail
+    let text = String::from_utf8_lossy(&response);
+    assert!(
+        text.starts_with("HTTP/1.1 431 "),
+        "expected 431, got {text:?} after {sent} dribbled bytes"
+    );
+    assert!(text.contains("request head too large"), "body: {text:?}");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The write-path mirror of slow-loris, threads mode: a client that
-/// pipelines a pile of requests and never reads a byte of the responses
-/// must not pin its worker thread forever on a blocked `write`. The
-/// write timeout frees the worker, so a second client gets served on
-/// the timeout scale — not never.
+/// The write-path mirror of slow-loris: a client that pipelines a pile
+/// of requests and never reads a byte of the responses must not block
+/// the server on its unsendable output. The event loop never blocks on a
+/// write, so a second client gets served promptly, and the idle sweep
+/// drops the hog.
 #[test]
-fn slow_reader_cannot_pin_a_threads_worker_past_the_write_timeout() {
-    let (handle, dir) = boot(HttpMode::Threads, "slowreader");
+fn slow_reader_cannot_pin_the_server_past_the_idle_timeout() {
+    let (handle, dir) = boot("slowreader");
     let mut hog = TcpStream::connect(handle.addr()).expect("connect hog");
     hog.set_write_timeout(Some(Duration::from_secs(2)))
         .expect("hog write timeout");
@@ -144,13 +127,14 @@ fn slow_reader_cannot_pin_a_threads_worker_past_the_write_timeout() {
         .expect("hog read timeout");
     // ~8000 pipelined /metrics requests → several MB of responses, far
     // past what loopback socket buffers absorb with nobody reading.
-    // The single worker (boot uses http_workers: 1) answers until its
-    // write blocks, then the 400 ms write timeout must kill the
-    // connection. Ignore write errors: the server may drop us mid-pile.
+    // The single handler (boot uses http_workers: 1) answers until the
+    // hog's socket buffers fill; from then on its output only waits,
+    // and the 400 ms idle timeout must drop the connection. Ignore write
+    // errors: the server may drop us mid-pile.
     let pile = "GET /metrics HTTP/1.1\r\n\r\n".repeat(8000);
     let _ = hog.write_all(pile.as_bytes());
 
-    // The worker must come free and serve someone else promptly.
+    // The server must serve someone else promptly.
     let start = Instant::now();
     let mut client = TcpStream::connect(handle.addr()).expect("connect second");
     client
@@ -168,13 +152,13 @@ fn slow_reader_cannot_pin_a_threads_worker_past_the_write_timeout() {
     );
     assert!(
         start.elapsed() < Duration::from_secs(15),
-        "worker pinned by the slow reader for {:?}",
+        "server pinned by the slow reader for {:?}",
         start.elapsed()
     );
 
-    // And the hog itself was disconnected (write timeout or idle
-    // timeout), not parked: draining without reading our backlog of
-    // responses must hit EOF/reset in bounded time.
+    // And the hog itself was disconnected by the idle timeout, not
+    // parked: draining our backlog of responses must hit EOF/reset in
+    // bounded time.
     let mut sink = [0u8; 64 * 1024];
     let drained = Instant::now();
     loop {
@@ -195,24 +179,22 @@ fn slow_reader_cannot_pin_a_threads_worker_past_the_write_timeout() {
 /// idle timeout — the connection cannot be parked forever.
 #[test]
 fn stalled_mid_request_connection_is_dropped_by_idle_timeout() {
-    for mode in modes() {
-        let (handle, dir) = boot(mode, "stall");
-        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("timeout");
-        stream.write_all(b"GET /healthz HT").expect("partial head");
-        let start = Instant::now();
-        let mut buf = [0u8; 64];
-        // The server closes (EOF or reset) without ever getting a full
-        // request; it must happen on the idle-timeout scale, not ours.
-        let n = stream.read(&mut buf).unwrap_or(0);
-        assert_eq!(n, 0, "[{mode:?}] expected close, got data");
-        assert!(
-            start.elapsed() < Duration::from_secs(20),
-            "[{mode:?}] connection held too long"
-        );
-        handle.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let (handle, dir) = boot("stall");
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    stream.write_all(b"GET /healthz HT").expect("partial head");
+    let start = Instant::now();
+    let mut buf = [0u8; 64];
+    // The server closes (EOF or reset) without ever getting a full
+    // request; it must happen on the idle-timeout scale, not ours.
+    let n = stream.read(&mut buf).unwrap_or(0);
+    assert_eq!(n, 0, "expected close, got data");
+    assert!(
+        start.elapsed() < Duration::from_secs(20),
+        "connection held too long"
+    );
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -42,7 +42,7 @@
 //! Kernels that would need to reassociate to vectorize (dot products,
 //! norms, running sums) are deliberately **not** in this crate: their
 //! scalar accumulation order is a workspace contract (see
-//! `ARCHITECTURE.md` § "SIMD tier").
+//! `ARCHITECTURE.md` § "SIMD kernel tier").
 //!
 //! ## Dispatch
 //!
