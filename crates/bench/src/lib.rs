@@ -2,16 +2,16 @@
 //!
 //! The experiment harness: one binary per table/figure of the paper's
 //! evaluation section (run `cargo run --release -p sqlan-bench --bin
-//! table2`, etc.), plus Criterion micro-benchmarks. Shared here: the
-//! harness configuration (env-overridable so CI can shrink it), workload
-//! construction, table rendering, and JSON artifact output.
+//! table2`, etc.). Shared here: the harness configuration
+//! (env-overridable so CI can shrink it), workload construction, table
+//! rendering, and JSON artifact output. Performance numbers come from
+//! `perfbench/`, not from this crate.
 
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
 use std::io::Write as _;
 
-use serde::Serialize;
 use sqlan_core::prelude::*;
 use sqlan_engine::Database;
 
@@ -20,15 +20,17 @@ use sqlan_engine::Database;
 ///
 /// | env var              | default | meaning                           |
 /// |----------------------|---------|-----------------------------------|
-/// | `SQLAN_SESSIONS`     | 2000    | simulated SDSS sessions           |
+/// | `SQLAN_SESSIONS`     | 3000    | simulated SDSS sessions           |
 /// | `SQLAN_SQLSHARE`     | 1200    | SQLShare queries                  |
 /// | `SQLAN_USERS`        | 60      | SQLShare users                    |
 /// | `SQLAN_SCALE`        | 0.12    | catalog row-count multiplier      |
 /// | `SQLAN_EPOCHS`       | 3       | neural training epochs            |
-/// | `SQLAN_SEED`         | 0x5D55  | master seed                       |
+/// | `SQLAN_SEED`         | 0x5D55  | master seed, decimal or `0x` hex  |
 /// | `SQLAN_FAST`         | unset   | set to 1 for a smoke-test config  |
 /// | `SQLAN_THREADS`      | #cores  | worker threads (sqlan-par pool);  |
 /// |                      |         | results are thread-count invariant|
+///
+/// A knob that is set but does not parse is an error, not its default.
 #[derive(Debug, Clone, Copy)]
 pub struct Harness {
     pub sdss_sessions: usize,
@@ -39,43 +41,54 @@ pub struct Harness {
     pub seed: u64,
 }
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Parse a `SQLAN_SEED` value: decimal, or hex with a `0x` prefix.
+fn parse_seed(v: &str) -> Option<u64> {
+    match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => v.parse().ok(),
+    }
 }
 
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// One knob: `default` when `key` is unset, its parsed value when set,
+/// and an error naming `key` when it is set but does not parse.
+fn knob<T>(
+    var: &impl Fn(&str) -> Option<String>,
+    key: &str,
+    default: T,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    match var(key) {
+        None => Ok(default),
+        Some(v) => parse(v.trim()).ok_or_else(|| format!("{key}={v:?} does not parse")),
+    }
 }
 
 impl Harness {
+    /// Read the knobs from the environment. Exits the process with an
+    /// error naming the variable when a knob is set but does not parse.
     pub fn from_env() -> Harness {
-        let fast = std::env::var("SQLAN_FAST")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-        if fast {
-            return Harness {
-                sdss_sessions: env_usize("SQLAN_SESSIONS", 350),
-                sqlshare_queries: env_usize("SQLAN_SQLSHARE", 250),
-                sqlshare_users: env_usize("SQLAN_USERS", 20) as u32,
-                scale: env_f64("SQLAN_SCALE", 0.03),
-                epochs: env_usize("SQLAN_EPOCHS", 1),
-                seed: env_usize("SQLAN_SEED", 0x5D55) as u64,
-            };
-        }
-        Harness {
-            sdss_sessions: env_usize("SQLAN_SESSIONS", 3000),
-            sqlshare_queries: env_usize("SQLAN_SQLSHARE", 1200),
-            sqlshare_users: env_usize("SQLAN_USERS", 60) as u32,
-            scale: env_f64("SQLAN_SCALE", 0.12),
-            epochs: env_usize("SQLAN_EPOCHS", 3),
-            seed: env_usize("SQLAN_SEED", 0x5D55) as u64,
-        }
+        Harness::from_vars(|key| std::env::var(key).ok()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// [`Harness::from_env`] over any variable lookup.
+    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Harness, String> {
+        let fast = var("SQLAN_FAST").as_deref() == Some("1");
+        let (sessions, queries, users, scale, epochs) = if fast {
+            (350, 250, 20, 0.03, 1)
+        } else {
+            (3000, 1200, 60, 0.12, 3)
+        };
+        Ok(Harness {
+            sdss_sessions: knob(&var, "SQLAN_SESSIONS", sessions, |v| v.parse().ok())?,
+            sqlshare_queries: knob(&var, "SQLAN_SQLSHARE", queries, |v| v.parse().ok())?,
+            sqlshare_users: knob(&var, "SQLAN_USERS", users, |v| v.parse().ok())?,
+            scale: knob(&var, "SQLAN_SCALE", scale, |v| v.parse().ok())?,
+            epochs: knob(&var, "SQLAN_EPOCHS", epochs, |v| v.parse().ok())?,
+            seed: knob(&var, "SQLAN_SEED", 0x5D55, parse_seed)?,
+        })
     }
 
     pub fn sdss_config(&self) -> SdssConfig {
@@ -119,84 +132,6 @@ impl Harness {
     pub fn sqlshare_db(&self) -> Database {
         sqlshare_database(self.sqlshare_config())
     }
-}
-
-// ---- machine metadata ------------------------------------------------------
-
-/// What the benchmark ran on, embedded in every `BENCH_*.json` so a
-/// pinned baseline is interpretable later: thread-scaling numbers are
-/// bounded by `cores`, and kernel numbers depend on the dispatch tier.
-#[derive(Debug, Clone, Serialize)]
-pub struct MachineInfo {
-    /// CPUs visible to this process (`available_parallelism`).
-    pub cores: usize,
-    /// AVX2 detected on this CPU.
-    pub avx2: bool,
-    /// FMA detected (telemetry only — kernels never fuse; see
-    /// `sqlan-simd`'s bit-identity contract).
-    pub fma: bool,
-    /// The kernel tier dispatch resolves to right now (`"scalar"` /
-    /// `"avx2"`), after `SQLAN_SIMD` and any programmatic force.
-    pub simd_tier: &'static str,
-}
-
-/// Snapshot the current machine + dispatch state.
-pub fn machine_info() -> MachineInfo {
-    let feats = sqlan_simd::cpu_features();
-    MachineInfo {
-        cores: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        avx2: feats.avx2,
-        fma: feats.fma,
-        simd_tier: sqlan_simd::active().name(),
-    }
-}
-
-/// One scalar-vs-AVX2 kernel timing row for a `BENCH_*.json`.
-#[derive(Debug, Clone, Serialize)]
-pub struct KernelAb {
-    pub kernel: String,
-    /// Elements (or output elements) per call.
-    pub n: usize,
-    pub scalar_ns: f64,
-    pub avx2_ns: f64,
-    /// scalar_ns / avx2_ns — ≥ 1 means the AVX2 copy wins.
-    pub speedup: f64,
-}
-
-impl KernelAb {
-    pub fn measure(
-        kernel: &str,
-        n: usize,
-        mut scalar: impl FnMut(),
-        mut avx2: impl FnMut(),
-    ) -> KernelAb {
-        let scalar_ns = min_time_ns(&mut scalar);
-        let avx2_ns = min_time_ns(&mut avx2);
-        KernelAb {
-            kernel: kernel.to_string(),
-            n,
-            scalar_ns,
-            avx2_ns,
-            speedup: scalar_ns / avx2_ns.max(1e-9),
-        }
-    }
-}
-
-/// Nanoseconds per call, min over 7 batches of 200 calls — the
-/// container's wall clock is noisy and the minimum is the stable
-/// statistic.
-pub fn min_time_ns(f: &mut impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..7 {
-        let start = std::time::Instant::now();
-        for _ in 0..200 {
-            f();
-        }
-        best = best.min(start.elapsed().as_secs_f64() / 200.0);
-    }
-    best * 1e9
 }
 
 // ---- rendering ------------------------------------------------------------
@@ -324,6 +259,23 @@ mod tests {
         let h = Harness::from_env();
         assert!(h.sdss_sessions > 0);
         assert!(h.scale > 0.0);
+    }
+
+    #[test]
+    fn seed_knob_takes_decimal_or_hex_and_rejects_junk() {
+        let with_seed = |v: &'static str| {
+            Harness::from_vars(move |key| (key == "SQLAN_SEED").then(|| v.to_string()))
+        };
+        assert_eq!(with_seed("23893").unwrap().seed, 0x5D55);
+        assert_eq!(with_seed("0x5D55").unwrap().seed, 0x5D55);
+        assert_eq!(with_seed(" 0x1f ").unwrap().seed, 31);
+        for junk in ["junk", "0x", "0xZZ", "-1", ""] {
+            let err = with_seed(junk).unwrap_err();
+            assert!(err.starts_with("SQLAN_SEED="), "{junk:?}: {err}");
+        }
+        let err = Harness::from_vars(|key| (key == "SQLAN_SCALE").then(|| "big".into()));
+        assert!(err.unwrap_err().starts_with("SQLAN_SCALE="));
+        assert_eq!(Harness::from_vars(|_| None).unwrap().seed, 0x5D55);
     }
 
     #[test]

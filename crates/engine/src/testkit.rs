@@ -2,8 +2,7 @@
 //! 112-query corpus exercising every operator.
 //!
 //! Used by the engine's integration suites (`optimizer_equivalence`,
-//! `concurrent_readers`, `engine_differential`) **and** by
-//! `sqlan-bench`'s `bench_engine` binary, so tests and benchmarks measure
+//! `concurrent_readers`, `engine_differential`), so every suite checks
 //! the exact same workload. Not part of the engine's semantic API.
 
 use rand::rngs::StdRng;

@@ -9,7 +9,6 @@ use sqlan_engine::{Catalog, CostCounter, Database};
 use sqlan_sql::Statement;
 
 /// Small catalog so even cross-product plans stay under the row budget.
-/// (Shared with `sqlan-bench`'s `bench_engine` via `sqlan_engine::testkit`.)
 pub fn catalog() -> Catalog {
     sqlan_engine::testkit::equivalence_catalog()
 }

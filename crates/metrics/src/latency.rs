@@ -1,19 +1,8 @@
-//! Service-latency summaries for the online prediction service: plain
-//! percentiles over observed request latencies, reported the same way the
-//! qerror tables report estimation error.
+//! Service-latency summaries for the online prediction service: the
+//! shape `/metrics` reports request latency in, filled from a bucketed
+//! histogram snapshot.
 
 use serde::{Deserialize, Serialize};
-
-/// The percentile of `samples` at `p` (in `[0, 100]`), nearest-rank over
-/// a *sorted ascending* slice — the same convention as
-/// [`crate::qerror_percentiles`]. Empty input yields `NaN`.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
 
 /// p50/p95/p99 latency summary in seconds, plus count and mean.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -27,38 +16,10 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarize raw latency samples (seconds). The input need not be
-    /// sorted; an empty input yields a zero-count summary with `NaN`
-    /// percentiles.
-    pub fn from_seconds(samples: &[f64]) -> LatencySummary {
-        let mut sorted: Vec<f64> = samples.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        let count = sorted.len();
-        let mean = if count == 0 {
-            f64::NAN
-        } else {
-            sorted.iter().sum::<f64>() / count as f64
-        };
-        LatencySummary {
-            count,
-            mean_s: mean,
-            p50_s: percentile(&sorted, 50.0),
-            p95_s: percentile(&sorted, 95.0),
-            p99_s: percentile(&sorted, 99.0),
-            max_s: sorted.last().copied().unwrap_or(f64::NAN),
-        }
-    }
-
-    /// Summarize microsecond samples (the unit the serving layer records).
-    pub fn from_micros(samples: &[u64]) -> LatencySummary {
-        let secs: Vec<f64> = samples.iter().map(|&u| u as f64 / 1e6).collect();
-        LatencySummary::from_seconds(&secs)
-    }
-
     /// Build a summary from pre-computed statistics — e.g. a bucketed
     /// histogram snapshot that already knows its count, mean and
-    /// quantiles. A zero `count` yields the same NaN-filled shape as an
-    /// empty sample set, regardless of the other arguments.
+    /// quantiles. A zero `count` yields a zero-count summary with every
+    /// statistic `NaN`, regardless of the other arguments.
     pub fn from_stats(
         count: usize,
         mean_s: f64,
@@ -68,7 +29,14 @@ impl LatencySummary {
         max_s: f64,
     ) -> LatencySummary {
         if count == 0 {
-            return LatencySummary::from_seconds(&[]);
+            return LatencySummary {
+                count: 0,
+                mean_s: f64::NAN,
+                p50_s: f64::NAN,
+                p95_s: f64::NAN,
+                p99_s: f64::NAN,
+                max_s: f64::NAN,
+            };
         }
         LatencySummary {
             count,
@@ -86,44 +54,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn percentile_nearest_rank() {
-        let xs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 100.0), 100.0);
-        // Nearest rank over 100 points: p50 → index round(0.5*99) = 50.
-        assert_eq!(percentile(&xs, 50.0), 51.0);
-        assert!(percentile(&[], 50.0).is_nan());
-    }
-
-    #[test]
-    fn summary_orders_percentiles() {
-        let samples: Vec<f64> = (0..1000).map(|i| (i % 97) as f64 / 1000.0).collect();
-        let s = LatencySummary::from_seconds(&samples);
-        assert_eq!(s.count, 1000);
-        assert!(s.p50_s <= s.p95_s && s.p95_s <= s.p99_s && s.p99_s <= s.max_s);
-        assert!(s.mean_s > 0.0);
-    }
-
-    #[test]
-    fn micros_convert_to_seconds() {
-        let s = LatencySummary::from_micros(&[1_000_000, 1_000_000]);
-        assert_eq!(s.p50_s, 1.0);
-        assert_eq!(s.count, 2);
-    }
-
-    #[test]
     fn from_stats_normalizes_empty() {
         let s = LatencySummary::from_stats(0, 1.0, 2.0, 3.0, 4.0, 5.0);
         assert_eq!(s.count, 0);
         assert!(s.p50_s.is_nan() && s.mean_s.is_nan());
         let s = LatencySummary::from_stats(3, 1.0, 2.0, 3.0, 4.0, 5.0);
         assert_eq!((s.count, s.mean_s, s.max_s), (3, 1.0, 5.0));
-    }
-
-    #[test]
-    fn empty_summary_is_nan_not_panic() {
-        let s = LatencySummary::from_seconds(&[]);
-        assert_eq!(s.count, 0);
-        assert!(s.p50_s.is_nan() && s.mean_s.is_nan());
     }
 }

@@ -4,8 +4,8 @@
 //! Query Composition and Analysis"* (SIGMOD 2020): accuracy, per-class
 //! precision/recall/F-measure (§6.1), MSE and mean Huber loss over
 //! log-transformed regression labels, mean cross-entropy, the qerror
-//! percentile tables of §6.2 (Tables 3, 6, 7), and service-latency
-//! percentile summaries for the online prediction layer.
+//! percentile tables of §6.2 (Tables 3, 6, 7), and the service-latency
+//! summary shape of the online prediction layer.
 
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
@@ -18,7 +18,7 @@ pub mod regression;
 pub use classification::{
     accuracy, mean_cross_entropy, per_class_f_measure, ClassReport, ConfusionMatrix,
 };
-pub use latency::{percentile, LatencySummary};
+pub use latency::LatencySummary;
 pub use qerror::{
     qerror, qerror_percentiles, qerror_percentiles_with_shift, qerror_with_shift, QErrorTable,
 };

@@ -120,8 +120,7 @@ struct Completion {
 /// State shared between the loop, the handler threads, and the handle.
 struct Shared {
     completions: Mutex<Vec<Completion>>,
-    /// Open connections (loop-maintained, read by `/metrics`-style
-    /// observers and the bench).
+    /// Open connections (loop-maintained, read through the handle).
     connections: AtomicU64,
     stop: AtomicBool,
 }

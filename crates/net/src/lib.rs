@@ -34,4 +34,3 @@ pub use parser::{
     render_json_response, render_response, Answer, HttpError, HttpParser, Parse, Request,
     MAX_HEAD_BYTES,
 };
-pub use sys::raise_nofile_limit;

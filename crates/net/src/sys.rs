@@ -1,5 +1,5 @@
-//! Raw Linux syscalls for the event loop: `epoll` and `rlimit`, declared
-//! directly against the C library that `std` already links — no external
+//! Raw Linux syscalls for the event loop (`epoll`), declared directly
+//! against the C library that `std` already links — no external
 //! crates, per the workspace's offline compat policy. This module is the
 //! crate's entire unsafe surface; everything above it is safe Rust over
 //! owned file descriptors.
@@ -31,21 +31,11 @@ const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 
-#[repr(C)]
-struct RLimit {
-    rlim_cur: u64,
-    rlim_max: u64,
-}
-
-const RLIMIT_NOFILE: c_int = 7;
-
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
-    fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
-    fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
 }
 
 /// An owned epoll instance; closed on drop.
@@ -123,33 +113,6 @@ impl Drop for Epoll {
     }
 }
 
-/// Raise the soft `RLIMIT_NOFILE` to the hard limit and return
-/// `(soft, hard)` after the raise. High-connection-count callers (the
-/// c10k bench) need more fds than the default soft limit allows; for
-/// everything else this is a harmless no-op.
-pub fn raise_nofile_limit() -> io::Result<(u64, u64)> {
-    let mut lim = RLimit {
-        rlim_cur: 0,
-        rlim_max: 0,
-    };
-    // SAFETY: `lim` is a valid out-pointer for the whole call.
-    if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    if lim.rlim_cur < lim.rlim_max {
-        let raised = RLimit {
-            rlim_cur: lim.rlim_max,
-            rlim_max: lim.rlim_max,
-        };
-        // SAFETY: `raised` is a valid in-pointer for the whole call.
-        if unsafe { setrlimit(RLIMIT_NOFILE, &raised) } < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        lim = raised;
-    }
-    Ok((lim.rlim_cur, lim.rlim_max))
-}
-
 impl std::fmt::Debug for EpollEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Copy out of the packed struct before taking references.
@@ -182,11 +145,5 @@ mod tests {
         let data = events[0].data;
         assert_eq!(data, 7);
         ep.del(listener.as_raw_fd()).expect("del");
-    }
-
-    #[test]
-    fn nofile_limit_raises_to_hard() {
-        let (soft, hard) = raise_nofile_limit().expect("raise");
-        assert_eq!(soft, hard);
     }
 }

@@ -148,7 +148,7 @@ impl HistSnapshot {
     }
 
     /// Estimate the `q`-quantile (`q` in `[0, 1]`) with the same
-    /// nearest-rank convention as `sqlan_metrics::percentile`: rank
+    /// nearest-rank convention as `sqlan_metrics::qerror_percentiles`: rank
     /// `round(q * (count - 1))` over the sorted samples, except the
     /// sample is only known to bucket precision, so the estimate is the
     /// midpoint of the bucket holding that rank. The true sample lies in

@@ -69,9 +69,9 @@ pub fn enabled() -> bool {
     }
 }
 
-/// Programmatic override of [`enabled`] — used by tests and the
-/// `bench_serve` obs-on/obs-off A/B, which must flip the flag inside one
-/// process.
+/// Programmatic override of [`enabled`] — used by tests (serve's
+/// `obs_e2e` and its obs-on/obs-off throughput A/B `obs_overhead`),
+/// which must flip the flag inside one process.
 pub fn set_enabled(on: bool) {
     ENABLED.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
 }

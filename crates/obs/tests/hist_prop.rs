@@ -15,7 +15,8 @@ use proptest::prelude::*;
 use sqlan_obs::hist::{bucket_bounds, bucket_index, Histogram, N_BUCKETS};
 
 /// Exact nearest-rank percentile, same convention as
-/// `sqlan_metrics::percentile` (rank `round(q * (n-1))` over sorted).
+/// `sqlan_metrics::qerror_percentiles` (rank `round(q * (n-1))` over
+/// sorted).
 fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
     let idx = (q * (sorted.len() - 1) as f64).round() as usize;
     sorted[idx.min(sorted.len() - 1)]

@@ -21,9 +21,8 @@
 //!    `POST /predict`, `GET /healthz`, `GET /metrics`, and
 //!    `POST /reload`. Serving is Linux-only, like `sqlan-net`.
 //!
-//! See `crates/serve/README.md` for a quickstart and
-//! `crates/bench/src/bin/bench_serve.rs` for the closed-loop load
-//! generator that measures it.
+//! See `crates/serve/README.md` for a quickstart and `perfbench/` for
+//! the benchmark that measures it.
 
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]

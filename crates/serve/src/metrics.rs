@@ -41,7 +41,7 @@ pub struct ServeMetrics {
     /// Response-class counters, indexed 2xx / 4xx / 5xx. Every response
     /// from routing increments exactly one class and `http_requests`, so
     /// at quiescence `http_requests == responses.iter().sum()` — the
-    /// counter algebra `bench_serve` asserts.
+    /// counter algebra `tests/chaos.rs` asserts.
     responses: [Arc<Counter>; 3],
     predict_requests: Arc<Counter>,
     /// Statements scored in 200 responses, one counter per problem. The
@@ -333,7 +333,7 @@ impl ServeMetrics {
     }
 }
 
-/// The JSON body `/metrics` returns (also consumed by `bench_serve`).
+/// The JSON body `/metrics` returns.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     pub uptime_s: f64,

@@ -1,14 +1,15 @@
 //! Seeded chaos, end to end: with scoring panics, stalls, and socket
 //! faults injected at fixed probabilities, concurrent retrying clients
 //! must see only well-formed responses from the expected status set, no
-//! panic may escape the process, the server must be healthy once the
-//! plane clears, the response-counter algebra must still add up, and the
-//! fault schedule itself must replay: each point's fire count equals the
-//! pure `decide` function summed over its observed calls.
+//! panic may escape the process, the server must be healthy and stop
+//! answering degraded once the plane clears, the counter algebra must
+//! still add up, and the fault schedule itself must replay: each point's
+//! fire count equals the pure `decide` function summed over its observed
+//! calls.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sqlan_core::{train_model, Dataset, Labels, ModelKind, Problem, Task, TrainConfig, TrainData};
 use sqlan_serve::{
@@ -148,7 +149,7 @@ fn client_storm(
 }
 
 #[test]
-fn seeded_chaos_serves_well_formed_responses_in_both_modes() {
+fn seeded_chaos_serves_well_formed_responses() {
     let (handle, dir, statements) = boot("storm");
     let guard = sqlan_fault::install(CHAOS_SEED, CHAOS_SPEC).expect("install chaos plane");
 
@@ -200,15 +201,44 @@ fn seeded_chaos_serves_well_formed_responses_in_both_modes() {
     let (status, _) = client.get("/healthz").expect("healthz");
     assert_eq!(status, 200, "unhealthy after chaos cleared");
 
+    // Answers stop being degraded: within a bounded wait, a fresh
+    // (uncached) statement is scored by the model again.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for probe in 0.. {
+        let body = serde_json::to_string(&PredictRequest {
+            problem: Problem::ErrorClassification.name().to_string(),
+            statements: vec![format!("SELECT recovery_{probe} FROM chaos_probe")],
+        })
+        .expect("serialize");
+        let (status, body) = client.post("/predict", &body).expect("recovery probe");
+        if status == 200 {
+            let p: PredictResponse = serde_json::from_str(&body).expect("predict json");
+            if !p.degraded {
+                break;
+            }
+        }
+        assert!(
+            Instant::now() < deadline,
+            "still no non-degraded answer after {probe} probes: {status} {body}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
     let (status, body) = client.get("/metrics").expect("metrics");
     assert_eq!(status, 200);
     let m: sqlan_serve::MetricsSnapshot = serde_json::from_str(&body).expect("metrics json");
     // Counter algebra at quiescence: every request got exactly one
-    // response class, panics included.
+    // response class, panics included, and the statement total is the
+    // sum of its per-problem split.
     assert_eq!(
         m.http_requests,
         m.responses_2xx + m.responses_4xx + m.responses_5xx,
         "response classes must partition requests"
+    );
+    assert_eq!(
+        m.statements,
+        m.statements_by_problem.iter().sum::<u64>(),
+        "statement total must equal the per-problem sum"
     );
     if panic_fires > 0 {
         assert!(

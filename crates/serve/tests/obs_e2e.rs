@@ -170,7 +170,7 @@ fn exercise(handle: &ServerHandle, statements: &[String]) {
 }
 
 #[test]
-fn tracing_and_prometheus_cover_both_front_ends() {
+fn tracing_and_prometheus_are_pure_observers() {
     let ds = dataset();
     let classifier = train_classifier(&ds);
     let dir = tmp_dir("bundle");

@@ -157,53 +157,6 @@ fn matmul_body<const RB: usize, const TJ: usize>(
     }
 }
 
-/// Tile-shape tuning hooks for the ignored perf probe (not part of the
-/// kernel API; dispatch always uses the constants above).
-#[doc(hidden)]
-pub mod tune {
-    /// Scalar-tier matmul with an explicit `RB`×`TJ` register tile.
-    pub fn matmul_scalar<const RB: usize, const TJ: usize>(
-        out: &mut [f32],
-        a: &[f32],
-        b: &[f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        super::matmul_body::<RB, TJ>(out, a, b, m, k, n)
-    }
-
-    /// AVX2-tier matmul with an explicit `RB`×`TJ` register tile;
-    /// panics when AVX2 is absent.
-    #[cfg(target_arch = "x86_64")]
-    pub fn matmul_avx2<const RB: usize, const TJ: usize>(
-        out: &mut [f32],
-        a: &[f32],
-        b: &[f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        #[target_feature(enable = "avx2")]
-        unsafe fn go<const RB: usize, const TJ: usize>(
-            out: &mut [f32],
-            a: &[f32],
-            b: &[f32],
-            m: usize,
-            k: usize,
-            n: usize,
-        ) {
-            super::matmul_body::<RB, TJ>(out, a, b, m, k, n)
-        }
-        assert!(
-            crate::cpu_features().avx2,
-            "matmul_avx2: AVX2 not available on this CPU"
-        );
-        // SAFETY: AVX2 support verified just above.
-        unsafe { go::<RB, TJ>(out, a, b, m, k, n) }
-    }
-}
-
 /// Per-tier matmul copies, hand-laid-out (the one kernel whose tile
 /// width differs by tier, so it can't share `tier_kernels!`'s
 /// single-body expansion). Same module layout as the macro emits.

@@ -10,7 +10,7 @@
 //! [`active`]: AVX2 is detected once at startup via
 //! `is_x86_feature_detected!`, the `SQLAN_SIMD` environment variable
 //! (`auto` | `avx2` | `scalar`) picks the policy, and [`force`] overrides
-//! it programmatically (benchmark A/B mode, differential tests).
+//! it programmatically (tier sweeps, differential tests).
 //!
 //! ## The bit-identity contract
 //!
@@ -19,9 +19,8 @@
 //! bodies only contain operations whose lane-wise IEEE semantics are
 //! exact (`+`, `-`, `*`, `/`, comparisons, min/max, integer ops). No
 //! reduction is vectorized across its accumulation order, and FMA
-//! contraction is never used — `is_x86_feature_detected!("fma")` is
-//! reported for telemetry ([`CpuFeatures`]) but no kernel emits fused
-//! ops, because fusing would change bits against the scalar oracle.
+//! contraction is never used: no kernel emits fused ops, because fusing
+//! would change bits against the scalar oracle.
 //! LLVM's auto-vectorizer is required to preserve IEEE semantics when
 //! not told otherwise, so "same body, wider registers" is exactly the
 //! same arithmetic. `tests/differential.rs` pins the property on random
@@ -59,16 +58,14 @@ mod tier;
 mod f32k;
 mod f64k;
 
-#[doc(hidden)]
-pub use f32k::tune;
 pub use f32k::{
     add_assign_f32, axpy_f32, matmul_acc_f32, mul2_add_f32, mul_f32, scale_f32, sigmoid_f32,
     sigmoid_map, tanh_f32, tanh_map, tfidf_weights,
 };
 pub use f64k::{arith_f64, between_f64, bit_i64, cmp_f64, ArgF64, ArgI64, ArithOp, BitOp, CmpOp};
 
-/// Raw per-tier entry points, for differential tests and benchmarks that
-/// want a *specific* code path regardless of the active dispatch tier.
+/// Raw per-tier entry points, for differential tests that want a
+/// *specific* code path regardless of the active dispatch tier.
 pub mod paths {
     /// The scalar-oracle copies (always compiled, default baseline).
     pub mod scalar {
@@ -97,7 +94,7 @@ pub enum Tier {
 
 impl Tier {
     /// Stable lowercase name (`"scalar"` / `"avx2"`), as accepted by
-    /// `SQLAN_SIMD` and reported in bench JSON.
+    /// `SQLAN_SIMD` and reported by perfbench.
     pub fn name(self) -> &'static str {
         match self {
             Tier::Scalar => "scalar",
@@ -110,9 +107,6 @@ impl Tier {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuFeatures {
     pub avx2: bool,
-    /// Detected for telemetry only — no kernel emits fused ops (fusing
-    /// would break the bit-identity contract against the scalar oracle).
-    pub fma: bool,
 }
 
 /// Detect the CPU once (never consults `SQLAN_SIMD` or [`force`]).
@@ -121,15 +115,11 @@ pub fn cpu_features() -> CpuFeatures {
     {
         CpuFeatures {
             avx2: std::arch::is_x86_feature_detected!("avx2"),
-            fma: std::arch::is_x86_feature_detected!("fma"),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        CpuFeatures {
-            avx2: false,
-            fma: false,
-        }
+        CpuFeatures { avx2: false }
     }
 }
 
@@ -200,7 +190,7 @@ pub fn active() -> Tier {
 ///
 /// Because every kernel is bit-identical across tiers, flipping this
 /// concurrently with running kernels changes *performance only* — it is
-/// how benchmarks run their in-binary scalar-vs-SIMD A/B.
+/// how the determinism tests sweep tiers inside one process.
 pub fn force(tier: Option<Tier>) {
     let byte = match tier {
         None => UNSET,

@@ -11,7 +11,7 @@
 //!   re-vectorizes the same loops with 256-bit registers. `unsafe`
 //!   because calling one without AVX2 is undefined behaviour;
 //! * `avx2_checked::*` — safe wrappers over `avx2::*` that panic when
-//!   AVX2 is absent, for tests/benches that pin a code path;
+//!   AVX2 is absent, for tests that pin a code path;
 //!
 //! plus a top-level dispatching `pub fn` per kernel that routes through
 //! [`crate::active`]. Identical source bodies and no FMA/reassociation
@@ -58,8 +58,8 @@ macro_rules! tier_kernels {
         }
 
         /// AVX2 copies behind a runtime check (panics when AVX2 is
-        /// absent) — for differential tests and benchmarks that pin a
-        /// specific code path instead of going through dispatch.
+        /// absent) — for differential tests that pin a specific code
+        /// path instead of going through dispatch.
         #[cfg(target_arch = "x86_64")]
         pub mod avx2_checked {
             #[allow(unused_imports)]

@@ -141,3 +141,31 @@ fn workload_build_is_deterministic() {
         assert_eq!(x.cpu_seconds.to_bits(), y.cpu_seconds.to_bits());
     }
 }
+
+/// The template plan cache is invisible in the labels: one pass over the
+/// slice through `submit` with the cache on and with it off gives equal
+/// outcomes, bit for bit. The slice is templated, so at least half of the
+/// probes must hit, or the on pass would barely exercise rebinding.
+#[test]
+fn plan_cache_on_and_off_submit_identical_outcomes() {
+    let statements: Vec<String> = build_sdss(CONFIG)
+        .entries
+        .into_iter()
+        .map(|e| e.statement)
+        .collect();
+    let cached = sdss_database(CONFIG).with_plan_cache(1024);
+    let fresh = sdss_database(CONFIG).with_plan_cache(0);
+    assert!(fresh.plan_cache_stats().is_none());
+    for statement in &statements {
+        let (on, off) = (cached.submit(statement), fresh.submit(statement));
+        assert_eq!(on, off, "plan cache changed the outcome of {statement:?}");
+        assert_eq!(on.cpu_seconds.to_bits(), off.cpu_seconds.to_bits());
+    }
+    let stats = cached.plan_cache_stats().expect("cache is on");
+    assert!(
+        stats.hit_rate() >= 0.5,
+        "{} of {} probes hit",
+        stats.hits,
+        stats.hits + stats.misses
+    );
+}

@@ -118,7 +118,9 @@ fn tfidf_matrices_are_bit_identical_across_thread_counts() {
 fn full_experiment_is_byte_identical_across_thread_counts() {
     // Exercises every parallel layer at once: statement labeling,
     // TF-IDF featurization, per-model fan-out, minibatch gradient
-    // reduction, and parallel validation loss.
+    // reduction, and parallel validation loss. The lineup is the
+    // baseline plus all six learned kinds, so every trained parameter
+    // (CNN and LSTM included) is pinned across threads and tiers.
     let workload = build_sdss(SdssConfig {
         n_sessions: 200,
         scale: Scale(0.02),
@@ -135,7 +137,15 @@ fn full_experiment_is_byte_identical_across_thread_counts() {
             &workload,
             Problem::ErrorClassification,
             split.clone(),
-            &[ModelKind::MFreq, ModelKind::CTfidf, ModelKind::CCnn],
+            &[
+                ModelKind::MFreq,
+                ModelKind::CTfidf,
+                ModelKind::CCnn,
+                ModelKind::CLstm,
+                ModelKind::WTfidf,
+                ModelKind::WCnn,
+                ModelKind::WLstm,
+            ],
             &cfg,
             None,
         );
