@@ -204,49 +204,45 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one step.
+            // Both are ASCII, so the run ends on a char boundary.
             let rest = &self.bytes[self.pos..];
-            let mut chars = std::str::from_utf8(rest)
-                .map_err(|_| Error::custom("invalid UTF-8"))?
-                .chars();
-            match chars.next() {
-                None => return Err(Error::custom("unterminated string")),
-                Some('"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some('\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| Error::custom("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error::custom("bad \\u escape"))?;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(Error::custom(format!("bad escape {other:?}"))),
-                    }
-                    self.pos += 1;
-                }
-                Some(c) => {
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| Error::custom("unterminated string"))?;
+            out.push_str(
+                std::str::from_utf8(&rest[..run]).map_err(|_| Error::custom("invalid UTF-8"))?,
+            );
+            self.pos += run + 1;
+            if rest[run] == b'"' {
+                return Ok(out);
             }
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .ok_or_else(|| Error::custom("bad \\u escape"))?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| Error::custom("bad \\u escape"))?;
+                    // Surrogate pairs are not produced by our writer;
+                    // map lone surrogates to the replacement char.
+                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                    self.pos += 4;
+                }
+                other => return Err(Error::custom(format!("bad escape {other:?}"))),
+            }
+            self.pos += 1;
         }
     }
 
@@ -469,5 +465,29 @@ mod tests {
         // Empty and trailing-comma forms.
         assert_eq!(json!([]).as_array().unwrap().len(), 0);
         assert_eq!(json!([1, 2,]).as_array().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn long_string_parses_in_linear_time() {
+        // One unit holds every kind of run the parser copies or decodes:
+        // plain ASCII, the `\"`, `\\` and `\n` escapes, a `\u` escape for
+        // `é`, and raw two- and four-byte characters.
+        let unit_json = r#"ab\"c\\d\ne\u00e9é😀 "#;
+        let unit = "ab\"c\\d\neéé😀 ";
+        // Over 1 MiB once decoded.
+        let n = (1 << 20) / unit.len() + 1;
+        let text = format!(r#"{{"k": "{}"}}"#, unit_json.repeat(n));
+
+        let start = std::time::Instant::now();
+        let v: Value = from_str(&text).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(v.get("k").and_then(Value::as_str), Some(&*unit.repeat(n)));
+        // Linear parsing takes milliseconds even unoptimized; rescanning
+        // the rest of the input per character takes minutes.
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "parsing {} bytes took {elapsed:?}",
+            text.len()
+        );
     }
 }

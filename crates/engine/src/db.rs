@@ -20,8 +20,8 @@ use crate::functions::FnRegistry;
 use crate::optimizer::{OptLevel, Optimizer};
 use crate::plan::QueryPlan;
 use crate::plan_cache::{
-    plan_cache_capacity_from_env, rebind_plan, rebind_statement, CachedTemplate, PlanCache,
-    PlanCacheStats,
+    rebind_plan, rebind_statement, CachedTemplate, PlanCache, PlanCacheStats,
+    DEFAULT_PLAN_CACHE_CAPACITY,
 };
 use crate::relation::Relation;
 
@@ -59,15 +59,17 @@ pub struct Database {
     pub fns: FnRegistry,
     pub limits: ExecLimits,
     pub optimizer: Optimizer,
-    /// Execution engine (`SQLAN_ENGINE` env or [`Database::with_engine`]).
+    /// Execution engine: columnar unless [`Database::with_engine`] picks
+    /// another.
     /// Both engines are label-identical: the columnar engine's success
     /// path charges the same [`CostCounter`] totals, and its error paths
     /// are replayed through the row engine (whose charge *order* at the
     /// abort point is the label contract).
     pub engine: Engine,
-    /// Template → optimized-plan cache (`SQLAN_PLAN_CACHE` env or
-    /// [`Database::with_plan_cache`]); `None` when caching is disabled or
-    /// the optimizer pass set is not [`Optimizer::cache_safe`].
+    /// Template → optimized-plan cache ([`DEFAULT_PLAN_CACHE_CAPACITY`]
+    /// templates unless [`Database::with_plan_cache`] sets another);
+    /// `None` when caching is disabled or the optimizer pass set is not
+    /// [`Optimizer::cache_safe`].
     plan_cache: Option<Arc<PlanCache>>,
 }
 
@@ -79,24 +81,22 @@ const _: () = {
 impl Database {
     pub fn new(catalog: Catalog) -> Self {
         let optimizer = Optimizer::default();
-        let plan_cache = Self::build_plan_cache(&optimizer, plan_cache_capacity_from_env());
+        let plan_cache = Self::build_plan_cache(&optimizer, DEFAULT_PLAN_CACHE_CAPACITY);
         Database {
             catalog,
             fns: FnRegistry::standard(),
             limits: ExecLimits::default(),
             optimizer,
-            engine: Engine::from_env(),
+            engine: Engine::Columnar,
             plan_cache,
         }
     }
 
-    /// A fresh cache of the given capacity, unless caching is disabled or
-    /// the pass set is value-dependent (not [`Optimizer::cache_safe`]).
-    fn build_plan_cache(optimizer: &Optimizer, capacity: Option<usize>) -> Option<Arc<PlanCache>> {
-        match capacity {
-            Some(n) if optimizer.cache_safe() => Some(Arc::new(PlanCache::new(n))),
-            _ => None,
-        }
+    /// A fresh cache of the given capacity, unless the capacity is 0
+    /// (caching off) or the pass set is value-dependent (not
+    /// [`Optimizer::cache_safe`]).
+    fn build_plan_cache(optimizer: &Optimizer, capacity: usize) -> Option<Arc<PlanCache>> {
+        (capacity > 0 && optimizer.cache_safe()).then(|| Arc::new(PlanCache::new(capacity)))
     }
 
     pub fn with_limits(mut self, limits: ExecLimits) -> Self {
@@ -104,7 +104,7 @@ impl Database {
         self
     }
 
-    /// Select the execution engine explicitly (overriding `SQLAN_ENGINE`).
+    /// Select the execution engine (the default is [`Engine::Columnar`]).
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -119,7 +119,7 @@ impl Database {
     /// capacity.
     pub fn with_opt_level(mut self, level: OptLevel) -> Self {
         self.optimizer = Optimizer::with_level(level);
-        self.plan_cache = Self::build_plan_cache(&self.optimizer, plan_cache_capacity_from_env());
+        self.plan_cache = Self::build_plan_cache(&self.optimizer, DEFAULT_PLAN_CACHE_CAPACITY);
         self
     }
 
@@ -127,16 +127,16 @@ impl Database {
     /// plan cache, same as [`Database::with_opt_level`].
     pub fn with_optimizer(mut self, optimizer: Optimizer) -> Self {
         self.optimizer = optimizer;
-        self.plan_cache = Self::build_plan_cache(&self.optimizer, plan_cache_capacity_from_env());
+        self.plan_cache = Self::build_plan_cache(&self.optimizer, DEFAULT_PLAN_CACHE_CAPACITY);
         self
     }
 
-    /// Set the template plan cache capacity explicitly, overriding
-    /// `SQLAN_PLAN_CACHE`.  `0` disables caching.  A value-dependent
-    /// optimizer pass set still disables the cache regardless.
+    /// Set the template plan cache capacity (the default is
+    /// [`DEFAULT_PLAN_CACHE_CAPACITY`]).  `0` disables caching.  A
+    /// value-dependent optimizer pass set still disables the cache
+    /// regardless.
     pub fn with_plan_cache(mut self, capacity: usize) -> Self {
-        self.plan_cache =
-            Self::build_plan_cache(&self.optimizer, (capacity > 0).then_some(capacity));
+        self.plan_cache = Self::build_plan_cache(&self.optimizer, capacity);
         self
     }
 
@@ -158,11 +158,11 @@ impl Database {
     /// error messages, charge order) are bit-identical with the cache on
     /// or off.
     ///
-    /// Observability is write-only: when `SQLAN_OBS` is on, submits are
-    /// counted by outcome class and cache bypasses are mirrored into the
-    /// global registry, and span timings are recorded against any trace
-    /// installed on the calling thread — none of it feeds back into how
-    /// the outcome is computed.
+    /// Observability is write-only: while [`sqlan_obs::enabled`],
+    /// submits are counted by outcome class and cache bypasses are
+    /// mirrored into the global registry, and span timings are recorded
+    /// against any trace installed on the calling thread — none of it
+    /// feeds back into how the outcome is computed.
     pub fn submit(&self, text: &str) -> QueryOutcome {
         let outcome = if let Some(cache) = &self.plan_cache {
             match self.submit_cached(cache, text) {

@@ -62,10 +62,6 @@ fn default_optimizer() -> &'static Optimizer {
     DEFAULT.get_or_init(Optimizer::default)
 }
 
-/// Environment variable selecting the execution engine, mirroring
-/// `SQLAN_THREADS`: `SQLAN_ENGINE=row` or `SQLAN_ENGINE=columnar`.
-pub const ENGINE_ENV: &str = "SQLAN_ENGINE";
-
 /// Which execution engine runs query plans.
 ///
 /// Both engines produce byte-identical results and [`CostCounter`]
@@ -80,16 +76,6 @@ pub enum Engine {
     /// Vectorized columnar batches with selection vectors (the default).
     #[default]
     Columnar,
-}
-
-impl Engine {
-    /// Resolve from `SQLAN_ENGINE` (unset or unrecognized → columnar).
-    pub fn from_env() -> Engine {
-        match std::env::var(ENGINE_ENV) {
-            Ok(v) if v.trim().eq_ignore_ascii_case("row") => Engine::Row,
-            _ => Engine::Columnar,
-        }
-    }
 }
 
 /// One executed operator's observed statistics (EXPLAIN ANALYZE).

@@ -7,10 +7,11 @@
 //! registry.  All handles are resolved once through `OnceLock` so the
 //! hot paths (plan-cache probes, per-operator timing) pay one atomic
 //! load, never a registry lookup.  Every recording site is additionally
-//! gated on [`sqlan_obs::enabled()`]: with `SQLAN_OBS=off` the engine
-//! performs no metric work at all, which is what makes the pure-observer
-//! contract (`submit` outcomes byte-identical with obs on or off) easy
-//! to audit — no counter here is ever read back by execution code.
+//! gated on [`sqlan_obs::enabled()`]: with observability switched off
+//! ([`sqlan_obs::set_enabled`]) the engine performs no metric work at
+//! all, which is what makes the pure-observer contract (`submit`
+//! outcomes byte-identical with obs on or off) easy to audit — no
+//! counter here is ever read back by execution code.
 
 use std::sync::{Arc, OnceLock};
 

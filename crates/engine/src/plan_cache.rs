@@ -51,14 +51,7 @@ use sqlan_sql::visit::{walk_expr_mut, walk_statement_exprs_mut};
 
 use crate::plan::{FoldStep, JoinStrategy, LogicalPlan, QueryPlan, SelectOp};
 
-/// Environment knob controlling the plan cache.
-///
-/// * unset / `on` / `1` / `true` — enabled at the default capacity.
-/// * `off` / `0` / `false` — disabled.
-/// * any other integer `N` — enabled, capacity `N` templates.
-pub const PLAN_CACHE_ENV: &str = "SQLAN_PLAN_CACHE";
-
-/// Default number of cached templates when `SQLAN_PLAN_CACHE` is unset.
+/// Number of cached templates a [`crate::Database`] starts with.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 1024;
 
 const SHARDS: usize = 8;
@@ -66,31 +59,6 @@ const SHARDS: usize = 8;
 /// How many resident entries an insert inspects when picking an eviction
 /// victim.  Same sampled-LRU policy as the serving layer's cache.
 const EVICTION_SAMPLE: usize = 8;
-
-/// Resolve the plan-cache capacity from [`PLAN_CACHE_ENV`].
-///
-/// `None` means "disabled"; `Some(n)` is the template capacity.
-pub fn plan_cache_capacity_from_env() -> Option<usize> {
-    match std::env::var(PLAN_CACHE_ENV) {
-        Err(_) => Some(DEFAULT_PLAN_CACHE_CAPACITY),
-        Ok(raw) => parse_capacity(&raw),
-    }
-}
-
-fn parse_capacity(raw: &str) -> Option<usize> {
-    let v = raw.trim().to_ascii_lowercase();
-    match v.as_str() {
-        "" | "on" | "1" | "true" | "yes" => Some(DEFAULT_PLAN_CACHE_CAPACITY),
-        "off" | "0" | "false" | "no" => None,
-        _ => match v.parse::<usize>() {
-            Ok(0) => None,
-            Ok(n) => Some(n),
-            // Unrecognized text: fail open to the default, matching how
-            // the other SQLAN_* knobs treat junk values.
-            Err(_) => Some(DEFAULT_PLAN_CACHE_CAPACITY),
-        },
-    }
-}
 
 /// A parsed + planned statement template, shared read-only between all
 /// executions of statements with the same fingerprint.
@@ -442,17 +410,5 @@ mod tests {
         }
         let fresh = parse(sql).result.expect("fresh parse");
         assert_eq!(script, fresh, "rebound template equals fresh parse");
-    }
-
-    #[test]
-    fn env_capacity_parsing() {
-        // Exercised via the pure parser on literal strings rather than
-        // mutating process-global env (tests run in parallel).
-        assert_eq!(parse_capacity("on"), Some(DEFAULT_PLAN_CACHE_CAPACITY));
-        assert_eq!(parse_capacity("TRUE"), Some(DEFAULT_PLAN_CACHE_CAPACITY));
-        assert_eq!(parse_capacity("off"), None);
-        assert_eq!(parse_capacity("0"), None);
-        assert_eq!(parse_capacity("64"), Some(64));
-        assert_eq!(parse_capacity("garbage"), Some(DEFAULT_PLAN_CACHE_CAPACITY));
     }
 }

@@ -3,7 +3,7 @@
 //! per-component [`CostCounter`] charges, same outcome labels — on every
 //! statement, including failing and budget-aborted ones.
 //!
-//! This is the contract that lets `SQLAN_ENGINE=columnar` be the default
+//! This is the contract that lets the columnar engine be the default
 //! without touching the golden label pin: the columnar success path is
 //! charge-sum-identical, and columnar error paths replay through the row
 //! engine.
@@ -207,16 +207,4 @@ fn order_by_source_fallback_costs_identical() {
             "order-by fallback diverged on: {sql}"
         );
     }
-}
-
-/// The engine env knob: `Database::new` resolves `SQLAN_ENGINE`, and both
-/// settings label one fixed statement identically.
-#[test]
-fn engine_knob_is_label_invisible() {
-    let sql = "SELECT kind, count(*) FROM Obj WHERE x BETWEEN 3 AND 33 GROUP BY kind ORDER BY kind";
-    let (row, col) = dbs();
-    assert_eq!(
-        format!("{:?}", row.submit(sql)),
-        format!("{:?}", col.submit(sql))
-    );
 }

@@ -21,9 +21,7 @@ fn limits() -> ExecLimits {
     }
 }
 
-/// A database with the template cache at the given capacity (0 = off),
-/// independent of the `SQLAN_PLAN_CACHE` environment — tests in this
-/// binary run in parallel, so they never touch process-global env.
+/// A database with the template cache at the given capacity (0 = off).
 fn db_cached(capacity: usize) -> Database {
     Database::new(catalog())
         .with_limits(limits())

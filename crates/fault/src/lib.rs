@@ -6,7 +6,7 @@
 //! [`fires`] at the point where a syscall could fail, a worker could
 //! panic, or a process could die. With no fault plane installed every
 //! point costs one relaxed atomic load — the same kill-switch discipline
-//! as `SQLAN_OBS` — so the hooks ship in release builds.
+//! as `sqlan_obs::enabled` — so the hooks ship in release builds.
 //!
 //! A *fault schedule* is installed either from the environment
 //! (`SQLAN_FAULTS=<seed>:<spec>`) or programmatically ([`install`]).

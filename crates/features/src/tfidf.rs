@@ -185,7 +185,7 @@ impl TfidfVectorizer {
     /// input order. Equivalent to mapping [`TfidfVectorizer::transform`]
     /// sequentially (each transform is a pure per-document function).
     ///
-    /// When `SQLAN_OBS` is on, the batch records a `featurize` span on
+    /// When observability is on, the batch records a `featurize` span on
     /// any trace installed on the calling thread (the `par_map` workers
     /// do not inherit the install stack, so timing wraps the whole batch
     /// here) and its wall time lands in the global

@@ -13,9 +13,9 @@
 //!   through the scoring queue and bridged into the engine via a
 //!   thread-local install stack; completed traces land in a bounded
 //!   ring and slow requests can log to stderr (`SQLAN_SLOW_MS`).
-//! * **The kill switch** ([`enabled`], `SQLAN_OBS`) — tracing is a *pure
-//!   observer*: predictions, golden labels and trained parameters are
-//!   byte-identical with observability on or off, and `off` reduces
+//! * **The kill switch** ([`enabled`], [`set_enabled`]) — tracing is a
+//!   *pure observer*: predictions, golden labels and trained parameters
+//!   are byte-identical with observability on or off, and `off` reduces
 //!   every span call site to a relaxed atomic load.
 //!
 //! Registries come in two flavors: per-instance ([`MetricRegistry::new`])
@@ -30,7 +30,7 @@ pub mod prom;
 pub mod registry;
 pub mod trace;
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 pub use hist::{HistSnapshot, Histogram};
@@ -38,42 +38,20 @@ pub use metric::{Counter, Gauge};
 pub use registry::{Kind, MetricRegistry, RegistrySnapshot, SeriesValue};
 pub use trace::{CompletedTrace, SpanRec, TraceCtx, TraceRing};
 
-/// Environment variable toggling observability: `off`/`0`/`false`
-/// disable tracing and engine-side instrumentation; anything else (or
-/// unset) leaves it on.
-pub const OBS_ENV: &str = "SQLAN_OBS";
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
-const STATE_UNRESOLVED: u8 = 0;
-const STATE_ON: u8 = 1;
-const STATE_OFF: u8 = 2;
-static ENABLED: AtomicU8 = AtomicU8::new(STATE_UNRESOLVED);
-
-/// Whether observability is on. Resolved from `SQLAN_OBS` on first call
-/// and cached; one relaxed load afterwards, cheap enough for every span
-/// site to check.
+/// Whether observability is on (it starts on). One relaxed load, cheap
+/// enough for every span site to check.
 pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        STATE_ON => true,
-        STATE_OFF => false,
-        _ => {
-            let on = match std::env::var(OBS_ENV) {
-                Ok(v) => !matches!(
-                    v.trim().to_ascii_lowercase().as_str(),
-                    "off" | "0" | "false"
-                ),
-                Err(_) => true,
-            };
-            ENABLED.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-            on
-        }
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Programmatic override of [`enabled`] — used by tests (serve's
-/// `obs_e2e` and its obs-on/obs-off throughput A/B `obs_overhead`),
-/// which must flip the flag inside one process.
+/// Switch observability on or off for the whole process — used by tests
+/// (the golden-label pin, serve's `obs_e2e` and its obs-on/obs-off
+/// throughput A/B `obs_overhead`), which must flip the flag inside one
+/// process.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// The process-wide registry for engine and featurizer metrics

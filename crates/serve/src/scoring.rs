@@ -109,27 +109,16 @@ pub struct ScoringConfig {
     pub queue_capacity: usize,
     /// Total prediction-cache entries (0 disables the cache).
     pub cache_capacity: usize,
-    /// Cache shard count.
-    pub cache_shards: usize,
     /// Graceful degradation: serve fallback predictions (previous pinned
     /// generation, else a length heuristic) marked `degraded:true`
     /// instead of erroring on saturation, unknown problems, or panicked
     /// batches. Off by default — shedding with 503 stays the contract
-    /// unless an operator opts in (here or via `SQLAN_DEGRADE=on`).
+    /// unless an operator opts in.
     pub degrade: bool,
 }
 
-/// Environment variable opting into graceful degradation
-/// (`on`/`1`/`true`); [`ScoringConfig::degrade`] set programmatically
-/// also enables it.
-pub const DEGRADE_ENV: &str = "SQLAN_DEGRADE";
-
-fn degrade_env() -> bool {
-    matches!(
-        std::env::var(DEGRADE_ENV).as_deref().map(str::trim),
-        Ok("on") | Ok("1") | Ok("true")
-    )
-}
+/// Prediction-cache shard count.
+const CACHE_SHARDS: usize = 16;
 
 impl Default for ScoringConfig {
     fn default() -> ScoringConfig {
@@ -139,7 +128,6 @@ impl Default for ScoringConfig {
             max_wait: Duration::from_millis(2),
             queue_capacity: 4096,
             cache_capacity: 65_536,
-            cache_shards: 16,
             degrade: false,
         }
     }
@@ -289,8 +277,6 @@ pub struct ScoringEngine {
     shutdown: AtomicBool,
     pub batch_stats: BatchStats,
     pub resilience: ResilienceStats,
-    /// Resolved once at start: `cfg.degrade || SQLAN_DEGRADE=on`.
-    degrade: bool,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -299,14 +285,13 @@ impl ScoringEngine {
     pub fn start(registry: Arc<ModelRegistry>, cfg: ScoringConfig) -> Arc<ScoringEngine> {
         let engine = Arc::new(ScoringEngine {
             registry,
-            cache: PredictionCache::new(cfg.cache_capacity, cfg.cache_shards),
+            cache: PredictionCache::new(cfg.cache_capacity, CACHE_SHARDS),
             cfg,
             queue: Mutex::new(QueueState::default()),
             work_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
             batch_stats: BatchStats::default(),
             resilience: ResilienceStats::default(),
-            degrade: cfg.degrade || degrade_env(),
             workers: Mutex::new(Vec::new()),
         });
         let mut handles = Vec::with_capacity(cfg.workers);
@@ -340,7 +325,7 @@ impl ScoringEngine {
 
     /// Whether graceful degradation is on for this engine.
     pub fn degrade_enabled(&self) -> bool {
-        self.degrade
+        self.cfg.degrade
     }
 
     /// The registry this engine scores against.
@@ -414,7 +399,7 @@ impl ScoringEngine {
         }
         let live = self.registry.current();
         if live.bundle.model(problem).is_none() {
-            if self.degrade {
+            if self.cfg.degrade {
                 return Ok(self.degraded_unknown_problem(problem, statements, &live));
             }
             return Err(ScoreError::UnknownProblem(problem));
@@ -457,7 +442,7 @@ impl ScoringEngine {
                         self.resilience
                             .worker_panics
                             .fetch_add(1, Ordering::Relaxed);
-                        if !self.degrade {
+                        if !self.cfg.degrade {
                             return Err(ScoreError::WorkerPanicked);
                         }
                         degraded = true;
@@ -480,7 +465,7 @@ impl ScoringEngine {
                         return Err(ScoreError::ShuttingDown);
                     }
                     if q.jobs.len() + misses.len() > self.cfg.queue_capacity {
-                        if !self.degrade {
+                        if !self.cfg.degrade {
                             return Err(ScoreError::Saturated);
                         }
                         false
@@ -521,7 +506,7 @@ impl ScoringEngine {
                         return Err(ScoreError::DeadlineExceeded);
                     }
                     if !panicked.is_empty() {
-                        if !self.degrade {
+                        if !self.cfg.degrade {
                             return Err(ScoreError::WorkerPanicked);
                         }
                         degraded = true;

@@ -17,8 +17,8 @@
 //! Saturation sheds with 503 (`{"error": ...}`), malformed input gets
 //! 400, oversized requests 413/431.
 //!
-//! When observability is on (`SQLAN_OBS`, default on) every request
-//! mints a [`TraceCtx`] whose id and per-stage spans (`parse`,
+//! When observability is on ([`sqlan_obs::enabled`], the default) every
+//! request mints a [`TraceCtx`] whose id and per-stage spans (`parse`,
 //! `cache_probe`, `queue_wait`, `batch_score`, `featurize`, ...) land in
 //! the trace ring behind `GET /debug/trace`; requests slower than
 //! `SQLAN_SLOW_MS` additionally log one stderr line.
@@ -148,7 +148,7 @@ pub struct TraceEntry {
 /// `GET /debug/trace` response body: recent traces, newest first.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TraceDump {
-    /// Whether observability is currently enabled (`SQLAN_OBS`).
+    /// Whether observability is currently enabled ([`sqlan_obs::enabled`]).
     pub enabled: bool,
     pub traces: Vec<TraceEntry>,
 }

@@ -7,7 +7,7 @@
 //!   exposition (HELP/TYPE headers, cumulative `_bucket` series with a
 //!   `+Inf` bound, `_sum`/`_count`);
 //! * prediction bytes are identical with observability on and off
-//!   (`SQLAN_OBS` is a pure observer);
+//!   (observability is a pure observer);
 //! * `/healthz` reports the HTTP tier (`"epoll"`) and an uptime.
 //!
 //! Everything lives in one `#[test]` because `sqlan_obs::set_enabled`
@@ -160,7 +160,7 @@ fn exercise(handle: &ServerHandle, statements: &[String]) {
     assert_eq!(status, 200);
     assert_eq!(
         on_bytes, off_bytes,
-        "SQLAN_OBS must not change served bytes"
+        "observability must not change served bytes"
     );
     let (status, dump) = client.get("/debug/trace").expect("trace obs-off");
     assert_eq!(status, 200);

@@ -2,7 +2,7 @@
 //! warm-cache `/predict` throughput with `sqlan-obs` on stays within 3%
 //! of off.
 //!
-//! A timing A/B, so it is ignored in the default suite. CI's `obs-pins`
+//! A timing A/B, so it is ignored in the default suite. CI's `obs-overhead`
 //! job runs it:
 //!
 //!     cargo test --release -p sqlan-serve --test obs_overhead -- --ignored

@@ -7,10 +7,10 @@
 //! **scalar oracle** — at most the SSE2 auto-vectorization every crate
 //! already had) and once under `#[target_feature(enable = "avx2")]`
 //! (8-wide `f32` / 4-wide `f64` codegen). Which copy runs is decided by
-//! [`active`]: AVX2 is detected once at startup via
-//! `is_x86_feature_detected!`, the `SQLAN_SIMD` environment variable
-//! (`auto` | `avx2` | `scalar`) picks the policy, and [`force`] overrides
-//! it programmatically (tier sweeps, differential tests).
+//! [`active`]: AVX2 is detected once per process via
+//! `is_x86_feature_detected!` and used where present, and [`force`]
+//! overrides the choice programmatically (tier sweeps, differential
+//! tests).
 //!
 //! ## The bit-identity contract
 //!
@@ -93,8 +93,8 @@ pub enum Tier {
 }
 
 impl Tier {
-    /// Stable lowercase name (`"scalar"` / `"avx2"`), as accepted by
-    /// `SQLAN_SIMD` and reported by perfbench.
+    /// Stable lowercase name (`"scalar"` / `"avx2"`), as reported by
+    /// perfbench.
     pub fn name(self) -> &'static str {
         match self {
             Tier::Scalar => "scalar",
@@ -109,7 +109,7 @@ pub struct CpuFeatures {
     pub avx2: bool,
 }
 
-/// Detect the CPU once (never consults `SQLAN_SIMD` or [`force`]).
+/// Detect the CPU's features (never consults [`force`]).
 pub fn cpu_features() -> CpuFeatures {
     #[cfg(target_arch = "x86_64")]
     {
@@ -128,53 +128,36 @@ const UNSET: u8 = 0;
 const SCALAR: u8 = 1;
 const AVX2: u8 = 2;
 
-/// The environment-resolved tier, cached after first use.
-static ENV_TIER: AtomicU8 = AtomicU8::new(UNSET);
-/// A programmatic override; `UNSET` defers to the environment policy.
+/// The detected tier, cached after first use.
+static DETECTED: AtomicU8 = AtomicU8::new(UNSET);
+/// A programmatic override; `UNSET` defers to the detected tier.
 static FORCED: AtomicU8 = AtomicU8::new(UNSET);
 
-fn resolve_env_tier() -> u8 {
-    let detected = cpu_features().avx2;
-    let policy = std::env::var("SQLAN_SIMD").unwrap_or_default();
-    match policy.trim() {
-        "scalar" => SCALAR,
-        // An explicit `avx2` on hardware without it falls back to scalar
-        // (with a note) instead of executing illegal instructions.
-        "avx2" => {
-            if detected {
-                AVX2
-            } else {
-                eprintln!("[sqlan-simd] SQLAN_SIMD=avx2 but AVX2 not detected; using scalar");
-                SCALAR
-            }
-        }
-        _ => {
-            if detected {
-                AVX2
-            } else {
-                SCALAR
-            }
-        }
-    }
+/// Detect the tier and cache it. Kept out of line, so the detection is
+/// not inlined into every kernel's dispatch site.
+#[cold]
+fn detect() -> u8 {
+    let detected = if cpu_features().avx2 { AVX2 } else { SCALAR };
+    DETECTED.store(detected, Ordering::Relaxed);
+    detected
 }
 
 /// The tier dispatched kernels run on right now.
 ///
-/// Precedence: [`force`] override, then the `SQLAN_SIMD` policy
-/// (detected once, cached). One relaxed atomic load on the fast path.
+/// Precedence: [`force`] override, then the detected tier (AVX2 where
+/// the CPU has it; detected once, cached). One relaxed atomic load on
+/// the fast path.
 #[inline]
 pub fn active() -> Tier {
     let forced = FORCED.load(Ordering::Relaxed);
     let byte = if forced != UNSET {
         forced
     } else {
-        let cached = ENV_TIER.load(Ordering::Relaxed);
+        let cached = DETECTED.load(Ordering::Relaxed);
         if cached != UNSET {
             cached
         } else {
-            let resolved = resolve_env_tier();
-            ENV_TIER.store(resolved, Ordering::Relaxed);
-            resolved
+            detect()
         }
     };
     if byte == AVX2 {
@@ -185,7 +168,7 @@ pub fn active() -> Tier {
 }
 
 /// Programmatically override the dispatch tier for the whole process
-/// (`None` returns control to the `SQLAN_SIMD` policy). Forcing
+/// (`None` returns control to the detected tier). Forcing
 /// [`Tier::Avx2`] on hardware without AVX2 falls back to scalar.
 ///
 /// Because every kernel is bit-identical across tiers, flipping this
@@ -210,6 +193,11 @@ pub fn force(tier: Option<Tier>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, PoisonError};
+
+    /// [`force`] is process-global and tests run in parallel: the tests
+    /// that force a tier hold this lock so they cannot see each other's.
+    static FORCE_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn tier_names_are_stable() {
@@ -219,21 +207,24 @@ mod tests {
 
     #[test]
     fn force_overrides_and_releases() {
+        let _lock = FORCE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         force(Some(Tier::Scalar));
         assert_eq!(active(), Tier::Scalar);
         force(None);
-        // Back to the env policy: must be *a* valid tier, and avx2 only
-        // if the hardware has it.
-        let t = active();
-        if t == Tier::Avx2 {
-            assert!(cpu_features().avx2);
-        }
+        // Back to the detected tier.
+        let detected = if cpu_features().avx2 {
+            Tier::Avx2
+        } else {
+            Tier::Scalar
+        };
+        assert_eq!(active(), detected);
     }
 
     #[test]
     fn forcing_avx2_without_hardware_is_safe() {
         // On AVX2 hardware this genuinely forces avx2; elsewhere it must
         // fall back to scalar instead of SIGILL-ing later.
+        let _lock = FORCE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         force(Some(Tier::Avx2));
         let t = active();
         if !cpu_features().avx2 {

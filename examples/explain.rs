@@ -1,7 +1,7 @@
 //! EXPLAIN: print the optimized plan of a few SDSS-style queries at each
 //! optimization level, then EXPLAIN ANALYZE them — executing each plan
 //! and annotating it with per-operator observed row counts and cost-unit
-//! charges (under the active `SQLAN_ENGINE`).
+//! charges (on the default columnar engine).
 //!
 //! ```sh
 //! cargo run --release --example explain

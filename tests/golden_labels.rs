@@ -11,7 +11,8 @@
 //! Regenerate deliberately with:
 //! `SQLAN_UPDATE_GOLDEN=1 cargo test --test golden_labels`
 
-use sqlan_engine::{CostCounter, Database, ErrorClass};
+use sqlan_engine::{CostCounter, Database, Engine, ErrorClass};
+use sqlan_simd::Tier;
 use sqlan_workload::{build_sdss, sdss_database, Scale, SdssConfig};
 
 const GOLDEN_PATH: &str = "tests/golden/sdss_labels.tsv";
@@ -76,11 +77,14 @@ fn describe(db: &Database, statement: &str) -> String {
 }
 
 fn render_slice() -> String {
+    render_slice_on(&sdss_database(CONFIG))
+}
+
+fn render_slice_on(db: &Database) -> String {
     let workload = build_sdss(CONFIG);
-    let db = sdss_database(CONFIG);
     let mut out = String::new();
     for entry in &workload.entries {
-        out.push_str(&describe(&db, &entry.statement));
+        out.push_str(&describe(db, &entry.statement));
         out.push('\n');
     }
     out
@@ -100,13 +104,17 @@ fn sdss_slice_labels_match_golden_bytes() {
         eprintln!("golden file regenerated at {GOLDEN_PATH}");
         return;
     }
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden file missing — run with SQLAN_UPDATE_GOLDEN=1 to create it");
     assert_eq!(
-        golden, rendered,
+        golden(),
+        rendered,
         "labels diverged from the golden pin; if intentional, regenerate \
          with SQLAN_UPDATE_GOLDEN=1"
     );
+}
+
+fn golden() -> String {
+    std::fs::read_to_string(GOLDEN_PATH)
+        .expect("golden file missing — run with SQLAN_UPDATE_GOLDEN=1 to create it")
 }
 
 /// The parallel labeler must reproduce the golden bytes too: the same
@@ -119,11 +127,64 @@ fn sdss_slice_labels_match_golden_bytes_at_4_threads() {
         return; // regeneration is handled by the sequential pin above
     }
     let rendered = sqlan_par::with_threads(4, render_slice);
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden file missing — run with SQLAN_UPDATE_GOLDEN=1 to create it");
+    assert_eq!(
+        golden(),
+        rendered,
+        "4-thread labels diverged from the sequential golden pin"
+    );
+}
+
+/// The row engine alone reproduces the golden bytes, success paths
+/// included. The default columnar engine replays only its failing
+/// statements on the row engine, so this is the pin that keeps the
+/// row engine a faithful reference for every statement.
+#[test]
+fn sdss_slice_labels_match_golden_bytes_on_the_row_engine() {
+    if std::env::var("SQLAN_UPDATE_GOLDEN").as_deref() == Ok("1") {
+        return;
+    }
+    let rendered = render_slice_on(&sdss_database(CONFIG).with_engine(Engine::Row));
+    assert_eq!(
+        golden(),
+        rendered,
+        "row-engine labels diverged from the golden pin"
+    );
+}
+
+/// Neither the SIMD kernel tier nor observability feeds into a label:
+/// the slice renders the golden bytes on the scalar oracle, on AVX2
+/// where the CPU has it, and with observability switched off. Both
+/// switches are process-global, so the three renders share one test and
+/// run one after the other; no other test in this binary sets either.
+#[test]
+fn sdss_slice_labels_match_golden_bytes_on_every_tier_and_with_obs_off() {
+    if std::env::var("SQLAN_UPDATE_GOLDEN").as_deref() == Ok("1") {
+        return;
+    }
+    let golden = golden();
+    let mut tiers = vec![Tier::Scalar];
+    if sqlan_simd::cpu_features().avx2 {
+        tiers.push(Tier::Avx2);
+    }
+    for tier in tiers {
+        sqlan_simd::force(Some(tier));
+        let rendered = render_slice();
+        assert_eq!(sqlan_simd::active(), tier, "tier changed during the render");
+        assert_eq!(
+            golden,
+            rendered,
+            "labels on the {} tier diverged from the golden pin",
+            tier.name()
+        );
+    }
+    sqlan_simd::force(None);
+
+    sqlan_obs::set_enabled(false);
+    let rendered = render_slice();
+    sqlan_obs::set_enabled(true);
     assert_eq!(
         golden, rendered,
-        "4-thread labels diverged from the sequential golden pin"
+        "labels with observability off diverged from the golden pin"
     );
 }
 

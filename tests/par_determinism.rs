@@ -16,6 +16,8 @@
 //! (up to NaN payloads, which this pipeline never produces), so the
 //! full tier × thread-count grid must render one byte sequence.
 
+use std::sync::{Mutex, PoisonError};
+
 use sqlan_core::prelude::*;
 use sqlan_features::{word_tokens, TfidfVectorizer};
 use sqlan_par::with_threads;
@@ -24,29 +26,33 @@ use sqlan_workload::{build_sdss, build_sqlshare, Scale, SdssConfig, SqlShareConf
 
 const THREAD_COUNTS: [usize; 3] = [1, 3, 8];
 
-/// The dispatch tiers to sweep: the env-resolved policy (`None`), the
-/// forced scalar oracle, and forced AVX2 where the hardware has it.
-fn tiers() -> Vec<(&'static str, Option<Tier>)> {
-    let mut t = vec![("auto", None), ("scalar", Some(Tier::Scalar))];
+/// The dispatch tiers to sweep: the scalar oracle, and AVX2 where the
+/// hardware has it. The default tier is whichever of the two the CPU
+/// supports, so it needs no cell of its own.
+fn tiers() -> Vec<Tier> {
+    let mut t = vec![Tier::Scalar];
     if sqlan_simd::cpu_features().avx2 {
-        t.push(("avx2", Some(Tier::Avx2)));
+        t.push(Tier::Avx2);
     }
     t
 }
 
+/// `sqlan_simd::force` is process-global and the test binary runs its
+/// tests concurrently: each sweep holds this lock, so no other test can
+/// switch the tier under a cell and every cell runs on the tier it names.
+static TIER_LOCK: Mutex<()> = Mutex::new(());
+
 /// Render one build per (tier, thread count) cell and assert all
 /// renderings agree byte-for-byte.
-///
-/// `sqlan_simd::force` is process-global and the test binary runs tests
-/// concurrently, so cells from different tests can race on the forced
-/// tier — that is deliberately fine: tiers are bit-identical, so a race
-/// only changes which (equally correct) code path executes.
 fn assert_invariant(what: &str, render: impl Fn() -> String) {
+    let _sweep = TIER_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let mut outputs: Vec<(String, String)> = Vec::new();
-    for (tier_name, tier) in tiers() {
-        sqlan_simd::force(tier);
+    for tier in tiers() {
+        sqlan_simd::force(Some(tier));
         for t in THREAD_COUNTS {
-            outputs.push((format!("{tier_name}/{t}t"), with_threads(t, &render)));
+            let out = with_threads(t, &render);
+            assert_eq!(sqlan_simd::active(), tier, "{what}: tier changed mid-sweep");
+            outputs.push((format!("{}/{t}t", tier.name()), out));
         }
     }
     sqlan_simd::force(None);
