@@ -15,7 +15,7 @@ use sqlan_sql::{parse, Literal, QualifiedName, Query, Statement};
 use crate::catalog::Catalog;
 use crate::cost::{estimate_cost_with, CostCounter, CostEstimate};
 use crate::error::{ErrorClass, RuntimeError};
-use crate::exec::{Engine, ExecCtx, ExecLimits, OpStats};
+use crate::exec::{Engine, ExecCtx, ExecLimits};
 use crate::functions::FnRegistry;
 use crate::optimizer::{OptLevel, Optimizer};
 use crate::plan::QueryPlan;
@@ -61,10 +61,10 @@ pub struct Database {
     pub optimizer: Optimizer,
     /// Execution engine: columnar unless [`Database::with_engine`] picks
     /// another.
-    /// Both engines are label-identical: the columnar engine's success
-    /// path charges the same [`CostCounter`] totals, and its error paths
-    /// are replayed through the row engine (whose charge *order* at the
-    /// abort point is the label contract).
+    /// Both engines are label-identical: each columnar operator charges
+    /// the same [`CostCounter`] totals as its row twin when it succeeds,
+    /// and one that fails is settled on that twin (whose charge *order*
+    /// up to the abort point is the label contract).
     pub engine: Engine,
     /// Template → optimized-plan cache ([`DEFAULT_PLAN_CACHE_CAPACITY`]
     /// templates unless [`Database::with_plan_cache`] sets another);
@@ -429,34 +429,16 @@ impl Database {
 
     /// Execute a SELECT and return the full relation.
     ///
-    /// Under the columnar engine, any execution error falls back to a
-    /// fresh row-engine replay: error outcomes carry the cost counter *at
-    /// the abort point*, and only the row engine's charge order defines
-    /// that label. Success paths are charge-sum-identical by construction
-    /// (enforced by the differential test suite), so no replay is needed.
+    /// `counter` receives the statement's charges whether it succeeds or
+    /// fails; an error outcome carries the charges *at the abort point*.
+    /// Both engines give the same result and charges (enforced by the
+    /// differential test suite).
     pub fn run_query(
         &self,
         q: &Query,
         counter: &mut CostCounter,
     ) -> Result<Relation, RuntimeError> {
         self.run_dispatch(q, counter, None, |batch| batch.to_relation(), |rel| rel)
-    }
-
-    /// Row-engine execution (the fallback/reference path).
-    fn run_query_row(
-        &self,
-        q: &Query,
-        counter: &mut CostCounter,
-        seed: Option<Rc<QueryPlan>>,
-    ) -> Result<Relation, RuntimeError> {
-        let mut ctx =
-            ExecCtx::with_optimizer(&self.catalog, &self.fns, self.limits, &self.optimizer);
-        if let Some(plan) = seed {
-            ctx.seed_plan(q, plan);
-        }
-        let result = ctx.exec_query(q, &[]);
-        counter.add(&ctx.counter);
-        result.map(|(rel, _)| rel)
     }
 
     /// Answer size of a SELECT — the labeling hot path. The columnar
@@ -477,12 +459,12 @@ impl Database {
         )
     }
 
-    /// Engine dispatch with the columnar→row error-replay policy in one
-    /// place: run the columnar engine and project its final batch with
-    /// `from_batch`; on any columnar error — or under [`Engine::Row`] —
-    /// run the row engine and project its relation with `from_rel`.
-    /// `seed` is the template cache's rebound plan for `q`, if any; both
-    /// engines receive it, so a cache hit never changes which plan runs.
+    /// Engine dispatch: run `q` on this database's engine and project the
+    /// columnar engine's final batch with `from_batch`, or the row
+    /// engine's relation with `from_rel`. Either way the result is final:
+    /// a columnar operator that fails has already been settled on its
+    /// row twin. `seed` is the template cache's rebound plan for `q`, if
+    /// any, so a cache hit never changes which plan runs.
     fn run_dispatch<T>(
         &self,
         q: &Query,
@@ -491,20 +473,21 @@ impl Database {
         from_batch: impl FnOnce(crate::relation::ColumnBatch) -> T,
         from_rel: impl FnOnce(Relation) -> T,
     ) -> Result<T, RuntimeError> {
-        if self.engine == Engine::Columnar {
-            let mut ctx =
-                ExecCtx::with_optimizer(&self.catalog, &self.fns, self.limits, &self.optimizer)
-                    .with_engine(Engine::Columnar);
-            if let Some(plan) = &seed {
-                ctx.seed_plan(q, Rc::clone(plan));
-            }
-            if let Ok((batch, _)) = ctx.exec_query_batch(q, &[]) {
-                counter.add(&ctx.counter);
-                return Ok(from_batch(batch));
-            }
-            // Fall through: discard the columnar context and replay.
+        let mut ctx =
+            ExecCtx::with_optimizer(&self.catalog, &self.fns, self.limits, &self.optimizer)
+                .with_engine(self.engine);
+        if let Some(plan) = seed {
+            ctx.seed_plan(q, plan);
         }
-        self.run_query_row(q, counter, seed).map(from_rel)
+        let result = match self.engine {
+            Engine::Columnar => ctx.exec_query_batch(q, &[]).map(|(b, _)| from_batch(b)),
+            Engine::Row => ctx.exec_query(q, &[]).map(|(rel, _)| from_rel(rel)),
+        };
+        counter.add(&ctx.counter);
+        if sqlan_obs::enabled() && ctx.row_twins() > 0 {
+            crate::obs::row_twins_total().add(ctx.row_twins());
+        }
+        result
     }
 
     /// EXPLAIN: render the optimized plan of every statement in `text`
@@ -614,20 +597,12 @@ impl Database {
     /// Execute one SELECT with operator instrumentation and append the
     /// observations to `out`.
     fn analyze_select(&self, q: &Query, out: &mut String) {
-        let run = |engine: Engine| -> (Vec<OpStats>, Result<usize, RuntimeError>, CostCounter) {
-            let mut ctx =
-                ExecCtx::with_optimizer(&self.catalog, &self.fns, self.limits, &self.optimizer)
-                    .with_engine(engine)
-                    .analyzed();
-            let res = ctx.exec_query(q, &[]).map(|(rel, _)| rel.len());
-            (ctx.take_observations(), res, ctx.counter)
-        };
-        let (obs, res, counter) = match run(self.engine) {
-            // Columnar errors replay through the row engine, same as
-            // normal execution: its abort-point charges are the labels.
-            (_, Err(_), _) if self.engine == Engine::Columnar => run(Engine::Row),
-            done => done,
-        };
+        let mut ctx =
+            ExecCtx::with_optimizer(&self.catalog, &self.fns, self.limits, &self.optimizer)
+                .with_engine(self.engine)
+                .analyzed();
+        let res = ctx.exec_query(q, &[]).map(|(rel, _)| rel.len());
+        let obs = ctx.take_observations();
         let engine_name = match self.engine {
             Engine::Row => "row",
             Engine::Columnar => "columnar",
@@ -655,13 +630,14 @@ impl Database {
         match res {
             Ok(rows) => out.push_str(&format!(
                 "-- answer_size={rows} cpu_seconds={:?}\n",
-                counter.cpu_seconds()
+                ctx.counter.cpu_seconds()
             )),
             Err(e) => out.push_str(&format!(
                 "-- error: {e} (cpu_seconds={:?})\n",
-                counter.cpu_seconds()
+                ctx.counter.cpu_seconds()
             )),
         }
+        out.push_str(&format!("-- row twins: {}\n", ctx.row_twins()));
     }
 
     /// Optimizer cost estimate for the `opt` baseline. Works even for
@@ -887,6 +863,11 @@ mod tests {
     fn unknown_column_is_non_severe() {
         let out = db().submit("SELECT nocolumn FROM PhotoObj");
         assert_eq!(out.error_class, ErrorClass::NonSevere);
+        // The failing projection is settled on its row twin.
+        let analyzed = db()
+            .explain_analyze("SELECT nocolumn FROM PhotoObj")
+            .unwrap();
+        assert!(analyzed.contains("\n-- row twins: 1\n"), "{analyzed}");
     }
 
     #[test]

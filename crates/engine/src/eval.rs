@@ -452,8 +452,8 @@ fn set_from_batch(b: &ColumnBatch) -> HashSet<Vec<u8>> {
 /// Success-path contract: identical [`crate::CostCounter`] totals and
 /// identical per-row values to running the row-engine [`eval`] on every
 /// row of `rows` in order. Error paths may charge in a different order —
-/// the caller (the `Database` layer) replays errors through the row
-/// engine, whose charge order is the label contract.
+/// the failing operator is then settled on its row twin, whose charge
+/// order is the label contract.
 pub(crate) fn eval_batch(
     ctx: &mut ExecCtx<'_>,
     expr: &Expr,

@@ -65,10 +65,10 @@ fn default_optimizer() -> &'static Optimizer {
 /// Which execution engine runs query plans.
 ///
 /// Both engines produce byte-identical results and [`CostCounter`]
-/// charges on every statement: the columnar engine executes the success
-/// path with sum-identical charges, and the [`crate::Database`] layer
-/// replays any columnar error through the row engine, whose charge
-/// *order* (observable at resource-budget aborts) is the label contract.
+/// charges on every statement: each columnar operator charges what its
+/// row twin charges when it succeeds, and an operator that fails is
+/// settled on its row twin (`ExecCtx::settle`), whose charge *order*
+/// up to the abort point is the label contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Row-at-a-time interpretation (`Vec<Vec<Value>>` pulls).
@@ -129,6 +129,11 @@ pub struct ExecCtx<'a> {
     pub(crate) analyze: Option<Vec<OpStats>>,
     /// Cache of uncorrelated subquery results keyed by AST address.
     subquery_cache: HashMap<usize, CachedSubquery>,
+    /// Keys of `subquery_cache` in insertion order, so a failed columnar
+    /// operator can drop what its attempt cached.
+    cache_journal: Vec<usize>,
+    /// Row twins run by [`ExecCtx::settle`] (diagnostic only).
+    row_twins: u64,
     /// Optimized plans keyed by `Query` AST address (stable for the
     /// lifetime of this context).
     plan_cache: HashMap<usize, Rc<QueryPlan>>,
@@ -178,6 +183,8 @@ impl<'a> ExecCtx<'a> {
             engine: Engine::Row,
             analyze: None,
             subquery_cache: HashMap::new(),
+            cache_journal: Vec::new(),
+            row_twins: 0,
             plan_cache: HashMap::new(),
         }
     }
@@ -201,6 +208,47 @@ impl<'a> ExecCtx<'a> {
     /// Drain the recorded per-operator observations.
     pub fn take_observations(&mut self) -> Vec<OpStats> {
         self.analyze.take().unwrap_or_default()
+    }
+
+    /// How many failed columnar operators this context settled on their
+    /// row twins. Execution never reads it.
+    pub(crate) fn row_twins(&self) -> u64 {
+        self.row_twins
+    }
+
+    /// Run one columnar operator, settling a failure on its row twin.
+    ///
+    /// A columnar operator that succeeds charges what its row twin
+    /// charges, so before each operator this context holds exactly the
+    /// state the row engine would hold. One that fails may abort where
+    /// the twin does not, or charge in another order first, and the row
+    /// engine's charges up to its abort point are the label. So when
+    /// `batch` fails, the cost counter, the subquery-cache entries the
+    /// attempt added and `used_outer` are put back, and `twin` runs on
+    /// the same input with subqueries on the row engine too; its error,
+    /// or its result as a batch, is the operator's outcome.
+    pub(crate) fn settle(
+        &mut self,
+        used_outer: &mut bool,
+        batch: impl FnOnce(&mut Self, &mut bool) -> Result<ColumnBatch, RuntimeError>,
+        twin: impl FnOnce(&mut Self, &mut bool) -> Result<Relation, RuntimeError>,
+    ) -> Result<ColumnBatch, RuntimeError> {
+        let counter = self.counter;
+        let cached = self.cache_journal.len();
+        let consulted = *used_outer;
+        if let Ok(out) = batch(self, used_outer) {
+            return Ok(out);
+        }
+        self.counter = counter;
+        for key in self.cache_journal.drain(cached..) {
+            self.subquery_cache.remove(&key);
+        }
+        *used_outer = consulted;
+        self.row_twins += 1;
+        let engine = std::mem::replace(&mut self.engine, Engine::Row);
+        let out = twin(self, used_outer);
+        self.engine = engine;
+        out.map(|rel| ColumnBatch::from_relation(&rel))
     }
 
     pub(crate) fn check_budget(&self, extra_rows: usize) -> Result<(), RuntimeError> {
@@ -283,14 +331,20 @@ impl<'a> ExecCtx<'a> {
     }
 
     pub(crate) fn cache_scalar(&mut self, key: usize, v: Value) {
-        self.subquery_cache.insert(key, CachedSubquery::Scalar(v));
+        self.cache(key, CachedSubquery::Scalar(v));
     }
 
     pub(crate) fn cache_set(&mut self, key: usize, s: std::collections::HashSet<Vec<u8>>) {
-        self.subquery_cache.insert(key, CachedSubquery::Set(s));
+        self.cache(key, CachedSubquery::Set(s));
     }
 
     pub(crate) fn cache_nonempty(&mut self, key: usize, b: bool) {
-        self.subquery_cache.insert(key, CachedSubquery::NonEmpty(b));
+        self.cache(key, CachedSubquery::NonEmpty(b));
+    }
+
+    fn cache(&mut self, key: usize, entry: CachedSubquery) {
+        if self.subquery_cache.insert(key, entry).is_none() {
+            self.cache_journal.push(key);
+        }
     }
 }

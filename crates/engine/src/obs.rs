@@ -59,6 +59,17 @@ pub(crate) fn op_wall_hist() -> &'static Arc<Histogram> {
     })
 }
 
+/// Failed columnar operators settled on their row twins.
+pub(crate) fn row_twins_total() -> &'static Arc<Counter> {
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    C.get_or_init(|| {
+        sqlan_obs::global().counter(
+            "sqlan_engine_row_twins_total",
+            "Failed columnar operators settled on their row-engine twins",
+        )
+    })
+}
+
 /// Statements submitted through [`Database::submit`], by outcome class.
 ///
 /// [`Database::submit`]: crate::Database::submit

@@ -175,21 +175,7 @@ impl ExecCtx<'_> {
 
         // ---- projection / aggregation ----------------------------------
         let is_agg = matches!(plan.select, SelectOp::Aggregate { .. });
-        let mut projected = match &plan.select {
-            SelectOp::Aggregate {
-                items,
-                group_by,
-                having,
-            } => self.aggregate(
-                items,
-                group_by,
-                having.as_ref(),
-                &source,
-                outer,
-                &mut used_outer,
-            )?,
-            SelectOp::Project { items } => self.project(items, &source, outer, &mut used_outer)?,
-        };
+        let mut projected = self.select(&plan.select, &source, outer, &mut used_outer)?;
         observe(
             alog,
             &self.counter,
@@ -291,20 +277,36 @@ impl ExecCtx<'_> {
             } => {
                 let l = self.exec_node(left, outer, used_outer)?;
                 let r = self.exec_node(right, outer, used_outer)?;
-                let cols: Vec<ColRef> = l.cols.iter().chain(r.cols.iter()).cloned().collect();
-                match (strategy, on) {
-                    (
-                        JoinStrategy::Hash {
-                            left_key,
-                            right_key,
-                        },
-                        Some(cond),
-                    ) => self.hash_join(
-                        l, r, cols, left_key, right_key, cond, *kind, outer, used_outer,
-                    ),
-                    _ => self.nested_loop_join(l, r, cols, *kind, on.as_ref(), outer, used_outer),
-                }
+                self.join(l, r, *kind, on.as_ref(), strategy, outer, used_outer)
             }
+        }
+    }
+
+    /// An explicit join node: hash join when the planner found an
+    /// equi-key, nested loop otherwise.
+    #[allow(clippy::too_many_arguments)]
+    fn join(
+        &mut self,
+        left: Relation,
+        right: Relation,
+        kind: JoinKind,
+        on: Option<&Expr>,
+        strategy: &JoinStrategy,
+        outer: &[Scope<'_>],
+        used_outer: &mut bool,
+    ) -> Result<Relation, RuntimeError> {
+        let cols: Vec<ColRef> = left.cols.iter().chain(right.cols.iter()).cloned().collect();
+        match (strategy, on) {
+            (
+                JoinStrategy::Hash {
+                    left_key,
+                    right_key,
+                },
+                Some(cond),
+            ) => self.hash_join(
+                left, right, cols, left_key, right_key, cond, kind, outer, used_outer,
+            ),
+            _ => self.nested_loop_join(left, right, cols, kind, on, outer, used_outer),
         }
     }
 
@@ -538,6 +540,24 @@ impl ExecCtx<'_> {
     }
 
     // ================= row pipeline operators =================
+
+    /// The plan's SELECT phase: projection or aggregation.
+    fn select(
+        &mut self,
+        select: &SelectOp,
+        source: &Relation,
+        outer: &[Scope<'_>],
+        used_outer: &mut bool,
+    ) -> Result<Relation, RuntimeError> {
+        match select {
+            SelectOp::Aggregate {
+                items,
+                group_by,
+                having,
+            } => self.aggregate(items, group_by, having.as_ref(), source, outer, used_outer),
+            SelectOp::Project { items } => self.project(items, source, outer, used_outer),
+        }
+    }
 
     fn filter(
         &mut self,
@@ -909,11 +929,12 @@ impl ExecCtx<'_> {
 // Every operator below is the batch twin of a row operator above, with
 // the same `CostCounter` charges on the success path — same totals,
 // though accumulated column-at-a-time instead of row-at-a-time. Error
-// paths (resource aborts, runtime errors) may differ in charge order;
-// the `Database` layer replays them through the row engine, whose order
-// is the label contract. Filters refine selection vectors without
-// copying; projection passthrough re-references `Arc`'d columns; sorts
-// permute the selection; only joins, expression evaluation, and
+// paths (resource aborts, runtime errors) may differ in charge order, so
+// the plan loop runs each operator through `ExecCtx::settle`, which
+// settles a failure on the row operator over the same input: the row
+// engine's order is the label contract. Filters refine selection vectors
+// without copying; projection passthrough re-references `Arc`'d columns;
+// sorts permute the selection; only joins, expression evaluation, and
 // aggregate outputs allocate.
 
 impl ExecCtx<'_> {
@@ -956,8 +977,12 @@ impl ExecCtx<'_> {
 
         // ---- pushed single-item filters, in original conjunct order ----
         for (i, pred) in &plan.pushed {
-            let rel = std::mem::take(&mut item_rels[*i]);
-            let rel = self.filter_batch(rel, pred, outer, &mut used_outer)?;
+            let input = &item_rels[*i];
+            let rel = self.settle(
+                &mut used_outer,
+                |ctx, uo| ctx.filter_batch(input, pred, outer, uo),
+                |ctx, uo| ctx.filter(input.to_relation(), pred, outer, uo),
+            )?;
             observe(
                 alog,
                 &self.counter,
@@ -975,7 +1000,12 @@ impl ExecCtx<'_> {
             _ => {
                 let mut acc = item_rels.remove(0);
                 for (k, next) in item_rels.into_iter().enumerate() {
-                    acc = self.fold_batch(acc, next, plan.folds.get(k), outer, &mut used_outer)?;
+                    let step = plan.folds.get(k);
+                    acc = self.settle(
+                        &mut used_outer,
+                        |ctx, uo| ctx.fold_batch(&acc, &next, step, outer, uo),
+                        |ctx, uo| ctx.fold(acc.to_relation(), next.to_relation(), step, outer, uo),
+                    )?;
                     observe(
                         alog,
                         &self.counter,
@@ -991,7 +1021,11 @@ impl ExecCtx<'_> {
 
         // ---- residual WHERE ---------------------------------------------
         for pred in &plan.residual {
-            source = self.filter_batch(source, pred, outer, &mut used_outer)?;
+            source = self.settle(
+                &mut used_outer,
+                |ctx, uo| ctx.filter_batch(&source, pred, outer, uo),
+                |ctx, uo| ctx.filter(source.to_relation(), pred, outer, uo),
+            )?;
             observe(
                 alog,
                 &self.counter,
@@ -1004,23 +1038,11 @@ impl ExecCtx<'_> {
 
         // ---- projection / aggregation ----------------------------------
         let is_agg = matches!(plan.select, SelectOp::Aggregate { .. });
-        let mut projected = match &plan.select {
-            SelectOp::Aggregate {
-                items,
-                group_by,
-                having,
-            } => self.aggregate_batch(
-                items,
-                group_by,
-                having.as_ref(),
-                &source,
-                outer,
-                &mut used_outer,
-            )?,
-            SelectOp::Project { items } => {
-                self.project_batch(items, &source, outer, &mut used_outer)?
-            }
-        };
+        let mut projected = self.settle(
+            &mut used_outer,
+            |ctx, uo| ctx.select_batch(&plan.select, &source, outer, uo),
+            |ctx, uo| ctx.select(&plan.select, &source.to_relation(), outer, uo),
+        )?;
         observe(
             alog,
             &self.counter,
@@ -1032,7 +1054,11 @@ impl ExecCtx<'_> {
 
         // ---- DISTINCT ----------------------------------------------------
         if plan.distinct {
-            projected = self.distinct_batch(projected)?;
+            projected = self.settle(
+                &mut used_outer,
+                |ctx, _| ctx.distinct_batch(&projected),
+                |ctx, _| ctx.distinct(projected.to_relation()),
+            )?;
             observe(
                 alog,
                 &self.counter,
@@ -1044,20 +1070,18 @@ impl ExecCtx<'_> {
         }
 
         // ---- ORDER BY (on projected output, falling back to source) ----
-        if !plan.order_by.is_empty() && !is_agg {
-            projected =
-                self.order_by_batch(&plan.order_by, projected, &source, outer, &mut used_outer)?;
-        } else if !plan.order_by.is_empty() {
-            // Aggregate outputs sort on their projected columns only.
-            projected = self.order_by_batch(
-                &plan.order_by,
-                projected,
-                &ColumnBatch::default(),
-                outer,
-                &mut used_outer,
-            )?;
-        }
         if !plan.order_by.is_empty() {
+            // Aggregate outputs sort on their projected columns only.
+            let empty = ColumnBatch::default();
+            let keys_from = if is_agg { &empty } else { &source };
+            projected = self.settle(
+                &mut used_outer,
+                |ctx, uo| ctx.order_by_batch(&plan.order_by, &projected, keys_from, outer, uo),
+                |ctx, uo| {
+                    let (projected, keys_from) = (projected.to_relation(), keys_from.to_relation());
+                    ctx.order_by(&plan.order_by, projected, &keys_from, outer, uo)
+                },
+            )?;
             observe(
                 alog,
                 &self.counter,
@@ -1095,7 +1119,11 @@ impl ExecCtx<'_> {
                 table,
                 alias,
                 columns,
-            } => self.scan_batch(table, alias.as_deref(), columns.as_deref()),
+            } => self.settle(
+                used_outer,
+                |ctx, _| ctx.scan_batch(table, alias.as_deref(), columns.as_deref()),
+                |ctx, _| ctx.scan(table, alias.as_deref(), columns.as_deref()),
+            ),
             LogicalPlan::Subquery { plan, alias } => {
                 let (mut rel, uo) = self.exec_plan_batch(plan, outer)?;
                 *used_outer |= uo;
@@ -1109,7 +1137,11 @@ impl ExecCtx<'_> {
             }
             LogicalPlan::Filter { input, predicate } => {
                 let rel = self.exec_node_batch(input, outer, used_outer)?;
-                self.filter_batch(rel, predicate, outer, used_outer)
+                self.settle(
+                    used_outer,
+                    |ctx, uo| ctx.filter_batch(&rel, predicate, outer, uo),
+                    |ctx, uo| ctx.filter(rel.to_relation(), predicate, outer, uo),
+                )
             }
             LogicalPlan::Join {
                 left,
@@ -1120,28 +1152,43 @@ impl ExecCtx<'_> {
             } => {
                 let l = self.exec_node_batch(left, outer, used_outer)?;
                 let r = self.exec_node_batch(right, outer, used_outer)?;
-                let cols: Vec<ColRef> = l.cols.iter().chain(r.cols.iter()).cloned().collect();
-                match (strategy, on) {
-                    (
-                        JoinStrategy::Hash {
-                            left_key,
-                            right_key,
-                        },
-                        Some(cond),
-                    ) => self.hash_join_batch(
-                        l, r, cols, left_key, right_key, cond, *kind, outer, used_outer,
-                    ),
-                    _ => self.nested_loop_join_batch(
-                        l,
-                        r,
-                        cols,
-                        *kind,
-                        on.as_ref(),
-                        outer,
-                        used_outer,
-                    ),
-                }
+                let on = on.as_ref();
+                self.settle(
+                    used_outer,
+                    |ctx, uo| ctx.join_batch(&l, &r, *kind, on, strategy, outer, uo),
+                    |ctx, uo| {
+                        let (l, r) = (l.to_relation(), r.to_relation());
+                        ctx.join(l, r, *kind, on, strategy, outer, uo)
+                    },
+                )
             }
+        }
+    }
+
+    /// Batch twin of [`ExecCtx::join`].
+    #[allow(clippy::too_many_arguments)]
+    fn join_batch(
+        &mut self,
+        left: &ColumnBatch,
+        right: &ColumnBatch,
+        kind: JoinKind,
+        on: Option<&Expr>,
+        strategy: &JoinStrategy,
+        outer: &[Scope<'_>],
+        used_outer: &mut bool,
+    ) -> Result<ColumnBatch, RuntimeError> {
+        let cols: Vec<ColRef> = left.cols.iter().chain(right.cols.iter()).cloned().collect();
+        match (strategy, on) {
+            (
+                JoinStrategy::Hash {
+                    left_key,
+                    right_key,
+                },
+                Some(cond),
+            ) => self.hash_join_batch(
+                left, right, cols, left_key, right_key, cond, kind, outer, used_outer,
+            ),
+            _ => self.nested_loop_join_batch(left, right, cols, kind, on, outer, used_outer),
         }
     }
 
@@ -1187,8 +1234,8 @@ impl ExecCtx<'_> {
     /// Batch twin of [`ExecCtx::fold`].
     fn fold_batch(
         &mut self,
-        left: ColumnBatch,
-        right: ColumnBatch,
+        left: &ColumnBatch,
+        right: &ColumnBatch,
         step: Option<&FoldStep>,
         outer: &[Scope<'_>],
         used_outer: &mut bool,
@@ -1238,8 +1285,8 @@ impl ExecCtx<'_> {
     #[allow(clippy::too_many_arguments)]
     fn nested_loop_join_batch(
         &mut self,
-        left: ColumnBatch,
-        right: ColumnBatch,
+        left: &ColumnBatch,
+        right: &ColumnBatch,
         cols: Vec<ColRef>,
         kind: JoinKind,
         on: Option<&Expr>,
@@ -1256,7 +1303,7 @@ impl ExecCtx<'_> {
             // (one evaluation over the empty pair set) so charge order is
             // bit-compatible with the row engine's.
             if let Some(cond) = on {
-                let pairs = gather_pair_batch(&left, &right, &cols, &[], &[]);
+                let pairs = gather_pair_batch(left, right, &cols, &[], &[]);
                 eval_batch(self, cond, &pairs, &RowSet::All(0), outer, used_outer)?;
             }
         }
@@ -1283,7 +1330,7 @@ impl ExecCtx<'_> {
                             ri.push(r);
                         }
                     }
-                    let pairs = gather_pair_batch(&left, &right, &cols, &li, &ri);
+                    let pairs = gather_pair_batch(left, right, &cols, &li, &ri);
                     let c = eval_batch(
                         self,
                         cond,
@@ -1330,7 +1377,7 @@ impl ExecCtx<'_> {
             }
         }
         self.counter.rows_materialized += emit.len() as u64;
-        Ok(join_output(&left, &right, cols, &emit))
+        Ok(join_output(left, right, cols, &emit))
     }
 
     /// Batch hash join: vectorized key evaluation, hash build/probe on
@@ -1339,8 +1386,8 @@ impl ExecCtx<'_> {
     #[allow(clippy::too_many_arguments)]
     fn hash_join_batch(
         &mut self,
-        left: ColumnBatch,
-        right: ColumnBatch,
+        left: &ColumnBatch,
+        right: &ColumnBatch,
         cols: Vec<ColRef>,
         lk: &Expr,
         rk: &Expr,
@@ -1351,7 +1398,7 @@ impl ExecCtx<'_> {
     ) -> Result<ColumnBatch, RuntimeError> {
         let (ln, rn) = (left.len(), right.len());
         // Build on the right side.
-        let rkey = eval_batch(self, rk, &right, &RowSet::All(rn), outer, used_outer)?;
+        let rkey = eval_batch(self, rk, right, &RowSet::All(rn), outer, used_outer)?;
         let mut table: HashMap<Vec<u8>, Vec<usize>> = HashMap::new();
         for r in 0..rn {
             if rkey.is_null_at(r) {
@@ -1364,12 +1411,12 @@ impl ExecCtx<'_> {
         }
 
         // Probe with the left side, collecting candidate pairs li-major.
-        let lkey = eval_batch(self, lk, &left, &RowSet::All(ln), outer, used_outer)?;
+        let lkey = eval_batch(self, lk, left, &RowSet::All(ln), outer, used_outer)?;
         self.counter.hash_ops += ln as u64;
         // Memory guard: a pathological key skew could make the candidate
         // list huge even though few pairs survive the condition. The row
-        // engine streams this in O(1); we bail out and let the `Database`
-        // layer replay through it.
+        // engine streams this in O(1); we bail out, and the operator is
+        // settled on that row twin.
         let pair_cap = self.limits.max_rows.saturating_mul(4).max(1 << 21);
         let mut cand_l: Vec<usize> = Vec::new();
         let mut cand_r: Vec<usize> = Vec::new();
@@ -1398,7 +1445,7 @@ impl ExecCtx<'_> {
         let keep: Vec<bool> = if n_cand == 0 {
             Vec::new()
         } else {
-            let pairs = gather_pair_batch(&left, &right, &cols, &cand_l, &cand_r);
+            let pairs = gather_pair_batch(left, right, &cols, &cand_l, &cand_r);
             let c = eval_batch(
                 self,
                 full_cond,
@@ -1436,13 +1483,13 @@ impl ExecCtx<'_> {
             }
         }
         self.counter.rows_materialized += emit.len() as u64;
-        Ok(join_output(&left, &right, cols, &emit))
+        Ok(join_output(left, right, cols, &emit))
     }
 
     /// Batch filter: selection-vector refinement, no column copies.
     fn filter_batch(
         &mut self,
-        rel: ColumnBatch,
+        rel: &ColumnBatch,
         pred: &Expr,
         outer: &[Scope<'_>],
         used_outer: &mut bool,
@@ -1450,13 +1497,31 @@ impl ExecCtx<'_> {
         let n = rel.len();
         self.counter.eval_units += n as u64;
         self.check_budget(0)?;
-        let c = eval_batch(self, pred, &rel, &RowSet::All(n), outer, used_outer)?;
+        let c = eval_batch(self, pred, rel, &RowSet::All(n), outer, used_outer)?;
         let keep: Vec<usize> = (0..n).filter(|&i| c.is_truthy_at(i)).collect();
         self.counter.rows_materialized += keep.len() as u64;
         // The row engine checks the budget every 4096 rows mid-filter; one
         // post-charge check here aborts in every case it would have.
         self.check_budget(0)?;
         Ok(rel.select(&keep))
+    }
+
+    /// Batch twin of [`ExecCtx::select`].
+    fn select_batch(
+        &mut self,
+        select: &SelectOp,
+        source: &ColumnBatch,
+        outer: &[Scope<'_>],
+        used_outer: &mut bool,
+    ) -> Result<ColumnBatch, RuntimeError> {
+        match select {
+            SelectOp::Aggregate {
+                items,
+                group_by,
+                having,
+            } => self.aggregate_batch(items, group_by, having.as_ref(), source, outer, used_outer),
+            SelectOp::Project { items } => self.project_batch(items, source, outer, used_outer),
+        }
     }
 
     /// Batch projection: pure-passthrough projections re-reference the
@@ -1777,7 +1842,7 @@ impl ExecCtx<'_> {
 
     /// Batch DISTINCT: keeps the first occurrence of every grouping key,
     /// as a selection refinement.
-    fn distinct_batch(&mut self, rel: ColumnBatch) -> Result<ColumnBatch, RuntimeError> {
+    fn distinct_batch(&mut self, rel: &ColumnBatch) -> Result<ColumnBatch, RuntimeError> {
         let mut seen = std::collections::HashSet::new();
         let mut keep = Vec::new();
         for i in 0..rel.len() {
@@ -1799,7 +1864,7 @@ impl ExecCtx<'_> {
     fn order_by_batch(
         &mut self,
         order: &[OrderByItem],
-        projected: ColumnBatch,
+        projected: &ColumnBatch,
         source: &ColumnBatch,
         outer: &[Scope<'_>],
         used_outer: &mut bool,
@@ -1815,7 +1880,7 @@ impl ExecCtx<'_> {
             let col = match eval_batch(
                 self,
                 &ob.expr,
-                &projected,
+                projected,
                 &RowSet::All(n),
                 outer,
                 used_outer,
@@ -1833,8 +1898,8 @@ impl ExecCtx<'_> {
                 // A *charging* failed attempt (e.g. a correlated subquery
                 // ran before hitting the unknown column) is repeated per
                 // row by the row engine — a vectorized fallback cannot
-                // reproduce those totals, so escalate to the
-                // authoritative row-engine replay.
+                // reproduce those totals, so fail, and the sort is
+                // settled on its row twin.
                 Err(e) => return Err(e),
             };
             key_cols.push(col);

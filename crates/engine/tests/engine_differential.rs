@@ -5,8 +5,8 @@
 //!
 //! This is the contract that lets the columnar engine be the default
 //! without touching the golden label pin: the columnar success path is
-//! charge-sum-identical, and columnar error paths replay through the row
-//! engine.
+//! charge-sum-identical, and a failing columnar operator is settled on
+//! its row twin over the same input.
 
 mod common;
 
@@ -76,8 +76,9 @@ fn submit_outcomes_identical_across_engines_on_corpus() {
     }
 }
 
-/// Failing statements: the columnar engine replays them through the row
-/// engine, so the abort-point cost counter (a label!) must match exactly.
+/// Failing statements: the columnar engine settles the failing operator
+/// on its row twin, so the abort-point cost counter (a label!) must match
+/// exactly.
 #[test]
 fn error_outcomes_identical_across_engines() {
     let (row, col) = dbs();
@@ -91,6 +92,15 @@ fn error_outcomes_identical_across_engines() {
         "SELECT count(x) FROM Obj WHERE count(x) > 1", // aggregate in WHERE
         "SELECT id FROM Obj WHERE y > (SELECT y FROM Obj)", // scalar cardinality
         "SELECT o.id FROM Obj o WHERE o.x > 2 AND nocolumn = 1",
+        // The failing operator first runs and caches an uncorrelated
+        // subquery: its row twin must run that subquery again and charge
+        // it, not reuse the failed attempt's cache entry.
+        "SELECT id FROM Obj WHERE x > (SELECT avg(z) FROM Spec) + nocolumn",
+        "SELECT id, (SELECT max(z) FROM Spec) + nocolumn FROM Obj",
+        "SELECT id FROM Obj WHERE x IN (SELECT obj_id FROM Spec) OR y / (x - x) > 1",
+        "SELECT id FROM Obj ORDER BY (SELECT max(z) FROM Spec) + nocolumn",
+        "SELECT kind, count(*) FROM Obj GROUP BY kind \
+         HAVING count(*) > (SELECT count(*) FROM Tiny) + nocolumn",
         "SELEC syntax error",
         "UPDATE Obj SET x = 1",
         "DROP TABLE Obj",
@@ -108,7 +118,7 @@ fn error_outcomes_identical_across_engines() {
 }
 
 /// Resource-budget aborts carry the counter at the abort point; the
-/// columnar fallback must reproduce the row engine's abort labels.
+/// columnar engine must reproduce the row engine's abort labels.
 #[test]
 fn budget_abort_outcomes_identical_across_engines() {
     let tight = ExecLimits {
@@ -182,8 +192,8 @@ fn outer_join_null_padding_identical() {
 /// ORDER BY keys that fail projected-scope resolution *after charging*
 /// (correlated subqueries over non-projected source columns): the row
 /// engine repeats the failed projected attempt per row, which a
-/// vectorized fallback cannot reproduce — so the columnar engine must
-/// escalate to a full row replay instead of silently falling back.
+/// vectorized fallback cannot reproduce — so the columnar sort must fail
+/// and be settled on its row twin instead of silently falling back.
 /// Cheap resolution-only fallbacks (bare source columns) stay columnar.
 #[test]
 fn order_by_source_fallback_costs_identical() {

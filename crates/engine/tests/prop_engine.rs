@@ -193,7 +193,7 @@ proptest! {
 
     /// Differential totality: both engines classify arbitrary text with
     /// byte-identical outcome labels (errors included — the columnar
-    /// engine replays its error paths through the row engine).
+    /// engine settles a failing operator on its row twin).
     #[test]
     fn engines_agree_on_arbitrary_text(input in ".{0,300}") {
         let a = db().with_engine(Engine::Row).submit(&input);

@@ -1,7 +1,8 @@
 //! EXPLAIN: print the optimized plan of a few SDSS-style queries at each
 //! optimization level, then EXPLAIN ANALYZE them — executing each plan
 //! and annotating it with per-operator observed row counts and cost-unit
-//! charges (on the default columnar engine).
+//! charges (on the default columnar engine), and with how many failed
+//! operators were settled on their row-engine twins.
 //!
 //! ```sh
 //! cargo run --release --example explain
@@ -36,6 +37,12 @@ fn main() {
             // Derived table plus a correlated subquery.
             "SELECT d.type FROM (SELECT type, avg(ra) AS r FROM PhotoObj GROUP BY type) d \
              WHERE d.r > (SELECT avg(ra) FROM PhotoObj)"
+                .to_string(),
+            // The erroring shape common in SDSS logs: a correlated EXISTS
+            // filter, then an unknown column. The projection fails and is
+            // settled on its row twin (`-- row twins: 1`).
+            "SELECT p.objid, p.nocolumn FROM PhotoObj p WHERE EXISTS \
+             (SELECT 1 FROM SpecObj s WHERE s.bestobjid = p.objid)"
                 .to_string(),
         ]
     } else {

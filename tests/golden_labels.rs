@@ -1,5 +1,5 @@
-//! Golden pin of the deterministic labels for a fixed-seed SDSS workload
-//! slice.
+//! Golden pins of the deterministic labels for fixed-seed SDSS and
+//! SQLShare workload slices.
 //!
 //! The engine's entire purpose is producing ground-truth labels (error
 //! class, answer size, CPU time) from deterministic execution; this test
@@ -13,12 +13,25 @@
 
 use sqlan_engine::{CostCounter, Database, Engine, ErrorClass};
 use sqlan_simd::Tier;
-use sqlan_workload::{build_sdss, sdss_database, Scale, SdssConfig};
+use sqlan_workload::{
+    build_sdss, build_sqlshare, sdss_database, sqlshare_database, Scale, SdssConfig,
+    SqlShareConfig, Workload,
+};
 
 const GOLDEN_PATH: &str = "tests/golden/sdss_labels.tsv";
 const CONFIG: SdssConfig = SdssConfig {
     n_sessions: 160,
     scale: Scale(0.05),
+    seed: 0x5EED,
+};
+
+/// The SQLShare slice: ad hoc statements over per-user schemas, so its
+/// failing statements are not SDSS templates.
+const SQLSHARE_GOLDEN_PATH: &str = "tests/golden/sqlshare_labels.tsv";
+const SQLSHARE_CONFIG: SqlShareConfig = SqlShareConfig {
+    n_queries: 400,
+    n_users: 20,
+    scale: Scale(0.04),
     seed: 0x5EED,
 };
 
@@ -81,7 +94,10 @@ fn render_slice() -> String {
 }
 
 fn render_slice_on(db: &Database) -> String {
-    let workload = build_sdss(CONFIG);
+    render_workload(db, &build_sdss(CONFIG))
+}
+
+fn render_workload(db: &Database, workload: &Workload) -> String {
     let mut out = String::new();
     for entry in &workload.entries {
         out.push_str(&describe(db, &entry.statement));
@@ -90,9 +106,9 @@ fn render_slice_on(db: &Database) -> String {
     out
 }
 
-#[test]
-fn sdss_slice_labels_match_golden_bytes() {
-    let rendered = render_slice();
+/// Compare `rendered` with the golden file at `path`, or rewrite the file
+/// when `SQLAN_UPDATE_GOLDEN=1`.
+fn check_golden(path: &str, rendered: &str) {
     assert!(
         rendered.lines().count() >= 50,
         "slice unexpectedly small: {} entries",
@@ -100,20 +116,39 @@ fn sdss_slice_labels_match_golden_bytes() {
     );
     if std::env::var("SQLAN_UPDATE_GOLDEN").as_deref() == Ok("1") {
         std::fs::create_dir_all("tests/golden").unwrap();
-        std::fs::write(GOLDEN_PATH, &rendered).unwrap();
-        eprintln!("golden file regenerated at {GOLDEN_PATH}");
+        std::fs::write(path, rendered).unwrap();
+        eprintln!("golden file regenerated at {path}");
         return;
     }
     assert_eq!(
-        golden(),
+        read_golden(path),
         rendered,
-        "labels diverged from the golden pin; if intentional, regenerate \
-         with SQLAN_UPDATE_GOLDEN=1"
+        "labels diverged from the golden pin {path}; if intentional, \
+         regenerate with SQLAN_UPDATE_GOLDEN=1"
     );
 }
 
+#[test]
+fn sdss_slice_labels_match_golden_bytes() {
+    check_golden(GOLDEN_PATH, &render_slice());
+}
+
+/// The SQLShare slice renders its golden bytes on the default engine.
+#[test]
+fn sqlshare_slice_labels_match_golden_bytes() {
+    let rendered = render_workload(
+        &sqlshare_database(SQLSHARE_CONFIG),
+        &build_sqlshare(SQLSHARE_CONFIG),
+    );
+    check_golden(SQLSHARE_GOLDEN_PATH, &rendered);
+}
+
 fn golden() -> String {
-    std::fs::read_to_string(GOLDEN_PATH)
+    read_golden(GOLDEN_PATH)
+}
+
+fn read_golden(path: &str) -> String {
+    std::fs::read_to_string(path)
         .expect("golden file missing — run with SQLAN_UPDATE_GOLDEN=1 to create it")
 }
 
@@ -135,9 +170,9 @@ fn sdss_slice_labels_match_golden_bytes_at_4_threads() {
 }
 
 /// The row engine alone reproduces the golden bytes, success paths
-/// included. The default columnar engine replays only its failing
-/// statements on the row engine, so this is the pin that keeps the
-/// row engine a faithful reference for every statement.
+/// included. The default columnar engine runs row operators only as the
+/// twins of failing columnar operators, so this is the pin that keeps
+/// the row engine a faithful reference for every statement.
 #[test]
 fn sdss_slice_labels_match_golden_bytes_on_the_row_engine() {
     if std::env::var("SQLAN_UPDATE_GOLDEN").as_deref() == Ok("1") {
