@@ -8,7 +8,7 @@
 //! * [`estimate_cost`] — a textbook System-R-style estimator with
 //!   uniformity assumptions and **no** model of scalar-function CPU or
 //!   nested re-execution. It walks the *optimized plan* (the same
-//!   [`QueryPlan`] the executor runs, at the default pass level), so scan
+//!   [`QueryPlan`] the executor runs at the same [`OptLevel`]), so scan
 //!   costs, join strategies, and pushed-down selectivities line up with
 //!   what will actually execute — but its imprecision is still the point:
 //!   the paper's `opt` baseline (linear regression on optimizer estimates)
@@ -17,10 +17,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use sqlan_sql::{Expr, Query, Statement};
+use sqlan_sql::{Expr, Statement};
 
 use crate::catalog::Catalog;
-use crate::optimizer::Optimizer;
+use crate::optimizer::{plan, OptLevel};
 use crate::plan::{FoldStep, JoinStrategy, LogicalPlan, QueryPlan, SelectOp};
 
 /// Exact execution cost accounting, in abstract "cost units".
@@ -102,26 +102,16 @@ const SEL_JOIN: f64 = 1e-4;
 /// Default cardinality for tables missing from the catalog.
 const DEFAULT_CARD: f64 = 1000.0;
 
-/// Estimate the execution cost of a statement against a catalog, at the
-/// default optimizer level. Prefer [`estimate_cost_with`] when the
-/// executing database runs a non-default pass set.
-pub fn estimate_cost(stmt: &Statement, catalog: &Catalog) -> CostEstimate {
-    estimate_cost_with(stmt, catalog, &Optimizer::default())
-}
-
-/// Estimate the execution cost of a statement over the plan the given
-/// optimizer would produce — the same plan the executor will run.
-pub fn estimate_cost_with(
-    stmt: &Statement,
-    catalog: &Catalog,
-    optimizer: &Optimizer,
-) -> CostEstimate {
+/// Estimate the execution cost of a statement against a catalog, over
+/// the plan [`plan`] produces at `level` — the same plan the executor
+/// will run at that level.
+pub fn estimate_cost(stmt: &Statement, catalog: &Catalog, level: OptLevel) -> CostEstimate {
     match stmt {
-        Statement::Select(q) => estimate_query(q, catalog, optimizer),
+        Statement::Select(q) => estimate_plan(&plan(q, catalog, level), catalog),
         Statement::Dml { query, table, .. } => {
             let mut est = query
                 .as_ref()
-                .map(|q| estimate_query(q, catalog, optimizer))
+                .map(|q| estimate_plan(&plan(q, catalog, level), catalog))
                 .unwrap_or_default();
             if let Some(t) = table {
                 let card = catalog.get(&t.canonical()).map(|t| t.row_count() as f64);
@@ -140,13 +130,8 @@ pub fn estimate_cost_with(
     }
 }
 
-fn estimate_query(q: &Query, catalog: &Catalog, optimizer: &Optimizer) -> CostEstimate {
-    let plan = optimizer.plan(q, catalog);
-    estimate_plan(&plan, catalog)
-}
-
 /// Estimate a lowered/optimized plan. Public so experiments can compare
-/// estimates across [`crate::OptLevel`]s.
+/// estimates across [`OptLevel`]s.
 pub fn estimate_plan(plan: &QueryPlan, catalog: &Catalog) -> CostEstimate {
     // Per-item cardinalities and scan/join costs.
     let mut cost = 0.0;
@@ -325,7 +310,7 @@ mod tests {
 
     fn est(sql: &str) -> CostEstimate {
         let s = parse_script(sql).unwrap();
-        estimate_cost(&s.statements[0], &cat())
+        estimate_cost(&s.statements[0], &cat(), OptLevel::Default)
     }
 
     #[test]
@@ -369,15 +354,11 @@ mod tests {
 
     #[test]
     fn estimate_tracks_the_configured_optimizer() {
-        // A cross-product plan (no passes) must cost more than the
-        // hash-join plan the default passes produce.
+        // A cross-product plan (no rewrites) must cost more than the
+        // hash-join plan the default level produces.
         let s = parse_script("SELECT * FROM big a, small b WHERE a.x = b.x").unwrap();
-        let default = estimate_cost(&s.statements[0], &cat());
-        let naive = estimate_cost_with(
-            &s.statements[0],
-            &cat(),
-            &Optimizer::with_level(crate::OptLevel::None),
-        );
+        let default = estimate_cost(&s.statements[0], &cat(), OptLevel::Default);
+        let naive = estimate_cost(&s.statements[0], &cat(), OptLevel::None);
         assert!(
             naive.total_cost > default.total_cost * 10.0,
             "naive {} vs default {}",

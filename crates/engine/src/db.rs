@@ -5,6 +5,7 @@
 //! extracts from the SDSS logs — error class, answer size (`rows`), and
 //! CPU time (`busy`) — deterministically.
 
+use std::borrow::Borrow;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -13,11 +14,11 @@ use serde::{Deserialize, Serialize};
 use sqlan_sql::{parse, Literal, QualifiedName, Query, Statement};
 
 use crate::catalog::Catalog;
-use crate::cost::{estimate_cost_with, CostCounter, CostEstimate};
+use crate::cost::{estimate_cost, CostCounter, CostEstimate};
 use crate::error::{ErrorClass, RuntimeError};
 use crate::exec::{Engine, ExecCtx, ExecLimits};
 use crate::functions::FnRegistry;
-use crate::optimizer::{OptLevel, Optimizer};
+use crate::optimizer::{plan, OptLevel};
 use crate::plan::QueryPlan;
 use crate::plan_cache::{
     rebind_plan, rebind_statement, CachedTemplate, PlanCache, PlanCacheStats,
@@ -58,7 +59,9 @@ pub struct Database {
     pub catalog: Catalog,
     pub fns: FnRegistry,
     pub limits: ExecLimits,
-    pub optimizer: Optimizer,
+    /// The level every statement is planned at: [`OptLevel::Default`]
+    /// unless [`Database::with_opt_level`] picks another.
+    opt_level: OptLevel,
     /// Execution engine: columnar unless [`Database::with_engine`] picks
     /// another.
     /// Both engines are label-identical: each columnar operator charges
@@ -68,8 +71,7 @@ pub struct Database {
     pub engine: Engine,
     /// Template → optimized-plan cache ([`DEFAULT_PLAN_CACHE_CAPACITY`]
     /// templates unless [`Database::with_plan_cache`] sets another);
-    /// `None` when caching is disabled or the optimizer pass set is not
-    /// [`Optimizer::cache_safe`].
+    /// `None` when the capacity is 0.
     plan_cache: Option<Arc<PlanCache>>,
 }
 
@@ -80,23 +82,20 @@ const _: () = {
 
 impl Database {
     pub fn new(catalog: Catalog) -> Self {
-        let optimizer = Optimizer::default();
-        let plan_cache = Self::build_plan_cache(&optimizer, DEFAULT_PLAN_CACHE_CAPACITY);
         Database {
             catalog,
             fns: FnRegistry::standard(),
             limits: ExecLimits::default(),
-            optimizer,
+            opt_level: OptLevel::Default,
             engine: Engine::Columnar,
-            plan_cache,
+            plan_cache: Self::build_plan_cache(DEFAULT_PLAN_CACHE_CAPACITY),
         }
     }
 
     /// A fresh cache of the given capacity, unless the capacity is 0
-    /// (caching off) or the pass set is value-dependent (not
-    /// [`Optimizer::cache_safe`]).
-    fn build_plan_cache(optimizer: &Optimizer, capacity: usize) -> Option<Arc<PlanCache>> {
-        (capacity > 0 && optimizer.cache_safe()).then(|| Arc::new(PlanCache::new(capacity)))
+    /// (caching off).
+    fn build_plan_cache(capacity: usize) -> Option<Arc<PlanCache>> {
+        (capacity > 0).then(|| Arc::new(PlanCache::new(capacity)))
     }
 
     pub fn with_limits(mut self, limits: ExecLimits) -> Self {
@@ -110,33 +109,23 @@ impl Database {
         self
     }
 
-    /// Select the optimizer pass set by level. [`OptLevel::Default`] is
-    /// the label-stable set the workload generator relies on.
+    /// Select the planning level. [`OptLevel::Default`] is the
+    /// label-stable level the workload generator relies on.
     ///
-    /// Resets the plan cache: cached skeletons belong to a pass set, and
-    /// value-dependent pass sets disable caching entirely.  Call
-    /// [`Database::with_plan_cache`] *after* this to set an explicit
+    /// Resets the plan cache to a fresh one of the default capacity:
+    /// cached skeletons belong to a level, and clones share a cache.
+    /// Call [`Database::with_plan_cache`] *after* this to set an explicit
     /// capacity.
     pub fn with_opt_level(mut self, level: OptLevel) -> Self {
-        self.optimizer = Optimizer::with_level(level);
-        self.plan_cache = Self::build_plan_cache(&self.optimizer, DEFAULT_PLAN_CACHE_CAPACITY);
-        self
-    }
-
-    /// Install a custom pass pipeline (per-pass toggling).  Resets the
-    /// plan cache, same as [`Database::with_opt_level`].
-    pub fn with_optimizer(mut self, optimizer: Optimizer) -> Self {
-        self.optimizer = optimizer;
-        self.plan_cache = Self::build_plan_cache(&self.optimizer, DEFAULT_PLAN_CACHE_CAPACITY);
+        self.opt_level = level;
+        self.plan_cache = Self::build_plan_cache(DEFAULT_PLAN_CACHE_CAPACITY);
         self
     }
 
     /// Set the template plan cache capacity (the default is
-    /// [`DEFAULT_PLAN_CACHE_CAPACITY`]).  `0` disables caching.  A
-    /// value-dependent optimizer pass set still disables the cache
-    /// regardless.
+    /// [`DEFAULT_PLAN_CACHE_CAPACITY`]).  `0` disables caching.
     pub fn with_plan_cache(mut self, capacity: usize) -> Self {
-        self.plan_cache = Self::build_plan_cache(&self.optimizer, capacity);
+        self.plan_cache = Self::build_plan_cache(capacity);
         self
     }
 
@@ -219,7 +208,7 @@ impl Database {
                 .statements
                 .iter()
                 .map(|stmt| match stmt {
-                    Statement::Select(q) => Some(self.optimizer.plan(q, &self.catalog)),
+                    Statement::Select(q) => Some(plan(q, &self.catalog, self.opt_level)),
                     _ => None,
                 })
                 .collect()
@@ -236,24 +225,43 @@ impl Database {
 
     /// Execute one cached template instance: clone the template, splice
     /// the statement's literals into every parameter slot (statement and
-    /// plan skeleton both), and run the same statement loop as
-    /// [`Database::submit_uncached`].
+    /// plan skeleton both), and run the statements as
+    /// [`Database::submit_uncached`] does. Each statement is rebound only
+    /// once the ones before it succeeded.
     fn run_template(&self, tpl: &CachedTemplate, literals: &[Literal]) -> QueryOutcome {
+        self.run_script(
+            tpl.script
+                .statements
+                .iter()
+                .zip(&tpl.plans)
+                .map(|(stmt, plan)| {
+                    sqlan_obs::trace::timed("rebind", 1, || {
+                        let mut stmt = stmt.clone();
+                        rebind_statement(&mut stmt, literals);
+                        let seed = plan.as_ref().map(|skeleton| {
+                            let mut plan = skeleton.clone();
+                            rebind_plan(&mut plan, literals);
+                            Rc::new(plan)
+                        });
+                        (stmt, seed)
+                    })
+                }),
+        )
+    }
+
+    /// The statement loop of a submit: run each statement (with its
+    /// seeded plan, if any) on one cost counter, stopping at the first
+    /// failure, whose outcome is non-severe; otherwise the answer size is
+    /// the last statement's.
+    fn run_script<S: Borrow<Statement>>(
+        &self,
+        statements: impl Iterator<Item = (S, Option<Rc<QueryPlan>>)>,
+    ) -> QueryOutcome {
         let mut counter = CostCounter::default();
         let mut answer: i64 = 0;
-        for (stmt, plan) in tpl.script.statements.iter().zip(&tpl.plans) {
-            let (stmt, seed) = sqlan_obs::trace::timed("rebind", 1, || {
-                let mut stmt = stmt.clone();
-                rebind_statement(&mut stmt, literals);
-                let seed = plan.as_ref().map(|skeleton| {
-                    let mut plan = skeleton.clone();
-                    rebind_plan(&mut plan, literals);
-                    Rc::new(plan)
-                });
-                (stmt, seed)
-            });
+        for (stmt, seed) in statements {
             match sqlan_obs::trace::timed("execute", 1, || {
-                self.run_statement_seeded(&stmt, &mut counter, seed)
+                self.run_statement_seeded(stmt.borrow(), &mut counter, seed)
             }) {
                 Ok(rows) => answer = rows,
                 Err(e) => {
@@ -298,28 +306,7 @@ impl Database {
                 error_message: Some("unterminated literal".into()),
             };
         }
-
-        let mut counter = CostCounter::default();
-        let mut answer: i64 = 0;
-        for stmt in &script.statements {
-            match sqlan_obs::trace::timed("execute", 1, || self.run_statement(stmt, &mut counter)) {
-                Ok(rows) => answer = rows,
-                Err(e) => {
-                    return QueryOutcome {
-                        error_class: ErrorClass::NonSevere,
-                        answer_size: -1,
-                        cpu_seconds: counter.cpu_seconds(),
-                        error_message: Some(e.to_string()),
-                    };
-                }
-            }
-        }
-        QueryOutcome {
-            error_class: ErrorClass::Success,
-            answer_size: answer,
-            cpu_seconds: counter.cpu_seconds(),
-            error_message: None,
-        }
+        self.run_script(script.statements.iter().map(|stmt| (stmt, None)))
     }
 
     /// Execute one parsed statement, returning its answer size.
@@ -473,9 +460,7 @@ impl Database {
         from_batch: impl FnOnce(crate::relation::ColumnBatch) -> T,
         from_rel: impl FnOnce(Relation) -> T,
     ) -> Result<T, RuntimeError> {
-        let mut ctx =
-            ExecCtx::with_optimizer(&self.catalog, &self.fns, self.limits, &self.optimizer)
-                .with_engine(self.engine);
+        let mut ctx = self.exec_ctx();
         if let Some(plan) = seed {
             ctx.seed_plan(q, plan);
         }
@@ -490,6 +475,13 @@ impl Database {
         result
     }
 
+    /// A fresh execution context at this database's engine and level.
+    fn exec_ctx(&self) -> ExecCtx<'_> {
+        ExecCtx::new(&self.catalog, &self.fns, self.limits)
+            .with_engine(self.engine)
+            .with_opt_level(self.opt_level)
+    }
+
     /// EXPLAIN: render the optimized plan of every statement in `text`
     /// without executing anything. Returns `Err` with the parse error
     /// message for statements the portal would reject.
@@ -502,7 +494,7 @@ impl Database {
             }
             match stmt {
                 Statement::Select(q) => {
-                    out.push_str(&self.optimizer.plan(q, &self.catalog).render());
+                    out.push_str(&plan(q, &self.catalog, self.opt_level).render());
                 }
                 Statement::Dml {
                     verb,
@@ -510,7 +502,7 @@ impl Database {
                     ..
                 } => {
                     out.push_str(&format!("{verb:?}\n"));
-                    out.push_str(&self.optimizer.plan(q, &self.catalog).render());
+                    out.push_str(&plan(q, &self.catalog, self.opt_level).render());
                 }
                 other => {
                     out.push_str(&format!("{}\n", statement_kind(other)));
@@ -549,7 +541,9 @@ impl Database {
     /// operator's observed row count and cost-unit charges (in execution
     /// order), plus the statement's outcome labels. Observed charges
     /// include everything the operator evaluated — nested subqueries roll
-    /// into the operator that ran them.
+    /// into the operator that ran them — and an operator that fails is
+    /// listed with what it charged before aborting, so the listed units
+    /// add up to the statement's label.
     pub fn explain_analyze(&self, text: &str) -> Result<String, String> {
         let t_parse = std::time::Instant::now();
         let script = parse(text).result.map_err(|e| e.to_string())?;
@@ -562,7 +556,7 @@ impl Database {
             match stmt {
                 Statement::Select(q) => {
                     let t_plan = std::time::Instant::now();
-                    let rendered = self.optimizer.plan(q, &self.catalog).render();
+                    let rendered = plan(q, &self.catalog, self.opt_level).render();
                     let plan_ns = t_plan.elapsed().as_nanos() as u64;
                     out.push_str(&rendered);
                     let t_exec = std::time::Instant::now();
@@ -597,10 +591,7 @@ impl Database {
     /// Execute one SELECT with operator instrumentation and append the
     /// observations to `out`.
     fn analyze_select(&self, q: &Query, out: &mut String) {
-        let mut ctx =
-            ExecCtx::with_optimizer(&self.catalog, &self.fns, self.limits, &self.optimizer)
-                .with_engine(self.engine)
-                .analyzed();
+        let mut ctx = self.exec_ctx().analyzed();
         let res = ctx.exec_query(q, &[]).map(|(rel, _)| rel.len());
         let obs = ctx.take_observations();
         let engine_name = match self.engine {
@@ -620,11 +611,16 @@ impl Database {
         ));
         for s in &obs {
             out.push_str(&format!(
-                "--   rows={:<9} units=+{:<11} wall=+{:<8} {}\n",
-                s.rows,
+                "--   rows={:<9} units=+{:<11} wall=+{:<8} {}{}\n",
+                if s.failed {
+                    "-".to_string()
+                } else {
+                    s.rows.to_string()
+                },
                 s.units,
                 format!("{}us", s.wall_ns / 1_000),
-                s.op
+                s.op,
+                if s.failed { " (failed)" } else { "" }
             ));
         }
         match res {
@@ -643,13 +639,13 @@ impl Database {
     /// Optimizer cost estimate for the `opt` baseline. Works even for
     /// statements that would fail at runtime (the real optimizer estimates
     /// before execution), and returns `None` only for unparseable text.
-    /// Estimates walk the plan this database's own optimizer produces, so
-    /// they track `with_opt_level`/`with_optimizer` configuration.
+    /// Estimates walk the plan this database executes, so they track
+    /// [`Database::with_opt_level`].
     pub fn estimate(&self, text: &str) -> Option<CostEstimate> {
         let script = parse(text).result.ok()?;
         let mut total = CostEstimate::default();
         for stmt in &script.statements {
-            let e = estimate_cost_with(stmt, &self.catalog, &self.optimizer);
+            let e = estimate_cost(stmt, &self.catalog, self.opt_level);
             total.total_cost += e.total_cost;
             total.est_rows = e.est_rows;
         }
@@ -863,11 +859,20 @@ mod tests {
     fn unknown_column_is_non_severe() {
         let out = db().submit("SELECT nocolumn FROM PhotoObj");
         assert_eq!(out.error_class, ErrorClass::NonSevere);
-        // The failing projection is settled on its row twin.
+        // The failing projection is settled on its row twin, and listed
+        // with the units it charged before aborting.
         let analyzed = db()
             .explain_analyze("SELECT nocolumn FROM PhotoObj")
             .unwrap();
         assert!(analyzed.contains("\n-- row twins: 1\n"), "{analyzed}");
+        let failed = analyzed
+            .lines()
+            .find(|l| l.ends_with(" Project [1 exprs] (failed)"))
+            .unwrap_or_else(|| panic!("no failed operator line:\n{analyzed}"));
+        assert!(
+            failed.contains("rows=- ") && failed.contains("units=+2000 "),
+            "{failed}"
+        );
     }
 
     #[test]

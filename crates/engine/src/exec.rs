@@ -3,8 +3,8 @@
 //! Queries run through an explicit three-layer pipeline:
 //!
 //! 1. [`crate::plan`] lowers the AST into a [`crate::plan::QueryPlan`];
-//! 2. [`crate::optimizer`] passes rewrite the plan (predicate pushdown,
-//!    equi-join detection, and friends — each individually toggleable);
+//! 2. [`crate::optimizer::plan`] rewrites the plan at the context's
+//!    [`OptLevel`] (predicate pushdown, then equi-join detection);
 //! 3. [`crate::physical`] executes the optimized plan, charging every row
 //!    touched, function called, comparison sorted and hash probed to a
 //!    [`crate::CostCounter`]; the resulting deterministic cost is the
@@ -20,7 +20,7 @@
 
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::OnceLock;
+use std::time::Instant;
 
 use sqlan_sql::{Expr, Query};
 
@@ -28,7 +28,7 @@ use crate::catalog::Catalog;
 use crate::cost::CostCounter;
 use crate::error::RuntimeError;
 use crate::functions::FnRegistry;
-use crate::optimizer::Optimizer;
+use crate::optimizer::OptLevel;
 use crate::plan::QueryPlan;
 use crate::relation::{ColumnBatch, Relation};
 use crate::value::Value;
@@ -55,11 +55,6 @@ impl Default for ExecLimits {
             max_units: 2_000_000_000,
         }
     }
-}
-
-fn default_optimizer() -> &'static Optimizer {
-    static DEFAULT: OnceLock<Optimizer> = OnceLock::new();
-    DEFAULT.get_or_init(Optimizer::default)
 }
 
 /// Which execution engine runs query plans.
@@ -91,28 +86,33 @@ pub struct OpStats {
     /// Wall-clock nanoseconds elapsed while it ran.  Unlike `units`, this
     /// is real machine time — diagnostic only, never part of any label.
     pub wall_ns: u64,
+    /// The operator returned the statement's error: `rows` is 0 and
+    /// `units` is what it charged before aborting.
+    pub failed: bool,
 }
 
-/// Record one operator observation; no-op unless analysis is armed.
-pub(crate) fn observe(
-    log: &mut Option<Vec<OpStats>>,
-    counter: &CostCounter,
-    last_units: &mut u64,
-    last_instant: &mut std::time::Instant,
-    rows: usize,
-    op: impl FnOnce() -> String,
-) {
-    if let Some(log) = log.as_mut() {
-        let units = counter.units();
-        let now = std::time::Instant::now();
-        log.push(OpStats {
-            op: op(),
-            rows: rows as u64,
-            units: units.saturating_sub(*last_units),
-            wall_ns: now.duration_since(*last_instant).as_nanos() as u64,
-        });
-        *last_units = units;
-        *last_instant = now;
+/// The EXPLAIN ANALYZE log of one root plan while it runs: each
+/// operator's charge is the counter's growth since the previous one.
+pub(crate) struct OpLog {
+    stats: Vec<OpStats>,
+    units: u64,
+    at: Instant,
+}
+
+/// What an operator produced, as EXPLAIN ANALYZE counts it.
+pub(crate) trait OpOutput {
+    fn rows(&self) -> usize;
+}
+
+impl OpOutput for Relation {
+    fn rows(&self) -> usize {
+        self.len()
+    }
+}
+
+impl OpOutput for ColumnBatch {
+    fn rows(&self) -> usize {
+        self.len()
     }
 }
 
@@ -122,7 +122,7 @@ pub struct ExecCtx<'a> {
     pub fns: &'a FnRegistry,
     pub limits: ExecLimits,
     pub counter: CostCounter,
-    optimizer: &'a Optimizer,
+    level: OptLevel,
     engine: Engine,
     /// Armed by EXPLAIN ANALYZE: the root plan's operators log their
     /// observed row counts and cost charges here.
@@ -162,24 +162,15 @@ pub struct Scope<'r> {
 }
 
 impl<'a> ExecCtx<'a> {
-    /// A context using the process-wide default optimizer
-    /// ([`crate::OptLevel::Default`], the label-stable pass set).
+    /// A context planning at [`OptLevel::Default`] (the label-stable
+    /// pass set) on the row engine.
     pub fn new(catalog: &'a Catalog, fns: &'a FnRegistry, limits: ExecLimits) -> Self {
-        Self::with_optimizer(catalog, fns, limits, default_optimizer())
-    }
-
-    pub fn with_optimizer(
-        catalog: &'a Catalog,
-        fns: &'a FnRegistry,
-        limits: ExecLimits,
-        optimizer: &'a Optimizer,
-    ) -> Self {
         ExecCtx {
             catalog,
             fns,
             limits,
             counter: CostCounter::default(),
-            optimizer,
+            level: OptLevel::Default,
             engine: Engine::Row,
             analyze: None,
             subquery_cache: HashMap::new(),
@@ -189,11 +180,18 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    /// Select the execution engine. [`ExecCtx::new`]/`with_optimizer`
-    /// default to the row engine for backward compatibility; the
-    /// [`crate::Database`] layer passes its own (env-resolved) engine.
+    /// Select the execution engine. [`ExecCtx::new`] starts on the row
+    /// engine; a [`crate::Database`] passes its own engine, which is
+    /// [`Engine::Columnar`] unless `Database::with_engine` picked another.
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
+        self
+    }
+
+    /// Select the level every query this context runs is planned at
+    /// ([`ExecCtx::new`] starts at [`OptLevel::Default`]).
+    pub(crate) fn with_opt_level(mut self, level: OptLevel) -> Self {
+        self.level = level;
         self
     }
 
@@ -208,6 +206,49 @@ impl<'a> ExecCtx<'a> {
     /// Drain the recorded per-operator observations.
     pub fn take_observations(&mut self) -> Vec<OpStats> {
         self.analyze.take().unwrap_or_default()
+    }
+
+    /// Take the armed EXPLAIN ANALYZE log for the plan about to run.
+    /// Nested plans (derived tables, subqueries) then find none, so their
+    /// charges roll into the enclosing operator's.
+    pub(crate) fn open_log(&mut self) -> Option<OpLog> {
+        let stats = self.analyze.take()?;
+        Some(OpLog {
+            stats,
+            units: self.counter.units(),
+            at: Instant::now(),
+        })
+    }
+
+    pub(crate) fn close_log(&mut self, log: Option<OpLog>) {
+        self.analyze = log.map(|log| log.stats);
+    }
+
+    /// Run one operator of a root plan, logging it when analysis is
+    /// armed: its rows and charged units, or, when it fails, the units it
+    /// charged before aborting, marked failed. Either way the logged
+    /// units add up to the statement's [`CostCounter::units`].
+    pub(crate) fn step<T: OpOutput>(
+        &mut self,
+        log: &mut Option<OpLog>,
+        op: impl FnOnce() -> String,
+        run: impl FnOnce(&mut Self) -> Result<T, RuntimeError>,
+    ) -> Result<T, RuntimeError> {
+        let out = run(self);
+        if let Some(log) = log {
+            let units = self.counter.units();
+            let now = Instant::now();
+            log.stats.push(OpStats {
+                op: op(),
+                rows: out.as_ref().map_or(0, |t| t.rows() as u64),
+                units: units.saturating_sub(log.units),
+                wall_ns: now.duration_since(log.at).as_nanos() as u64,
+                failed: out.is_err(),
+            });
+            log.units = units;
+            log.at = now;
+        }
+        out
     }
 
     /// How many failed columnar operators this context settled on their
@@ -307,7 +348,7 @@ impl<'a> ExecCtx<'a> {
         if let Some(plan) = self.plan_cache.get(&key) {
             return Rc::clone(plan);
         }
-        let plan = Rc::new(self.optimizer.plan(q, self.catalog));
+        let plan = Rc::new(crate::optimizer::plan(q, self.catalog, self.level));
         self.plan_cache.insert(key, Rc::clone(&plan));
         plan
     }

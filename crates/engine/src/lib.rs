@@ -46,15 +46,12 @@ pub mod relation;
 pub mod value;
 
 pub use catalog::{Catalog, ColType, ColumnDef, ColumnSpec, ColumnVec, Table, TableSpec};
-pub use cost::{estimate_cost, estimate_cost_with, estimate_plan, CostCounter, CostEstimate};
+pub use cost::{estimate_cost, estimate_plan, CostCounter, CostEstimate};
 pub use db::{Database, QueryOutcome};
 pub use error::{ErrorClass, RuntimeError};
 pub use exec::{Engine, ExecCtx, ExecLimits, OpStats};
 pub use functions::{FnRegistry, ScalarFn};
-pub use optimizer::{
-    ConstantFolding, EquiJoinDetection, OptLevel, Optimizer, OptimizerPass, PredicatePushdown,
-    ProjectionPruning,
-};
+pub use optimizer::OptLevel;
 pub use plan::{lower, FoldStep, JoinStrategy, LogicalPlan, QueryPlan, SelectOp};
 pub use plan_cache::{CachedTemplate, PlanCache, PlanCacheStats, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use relation::{ColRef, ColumnBatch, Relation};

@@ -18,10 +18,10 @@ use sqlan_sql::{Aggregate, Expr, JoinKind, OrderByItem, QualifiedName, SelectIte
 
 use crate::error::RuntimeError;
 use crate::eval::{apply_binary, eval_batch, RowSet};
-use crate::exec::{observe, ExecCtx, OpStats, Scope};
+use crate::exec::{ExecCtx, OpLog, Scope};
 use crate::plan::{
-    projection_plan, schema_relation, FoldStep, JoinStrategy, LogicalPlan, ProjStep, QueryPlan,
-    SelectOp,
+    projection_plan, scan_schema, schema_relation, FoldStep, JoinStrategy, LogicalPlan, ProjStep,
+    QueryPlan, SelectOp,
 };
 use crate::relation::{gather, ColRef, ColumnBatch, Relation};
 use crate::value::{Column, ColumnBuilder, Value};
@@ -91,12 +91,10 @@ impl ExecCtx<'_> {
         plan: &QueryPlan,
         outer: &[Scope<'_>],
     ) -> Result<(Relation, bool), RuntimeError> {
-        // Only the root plan logs EXPLAIN ANALYZE observations: nested
-        // plans (derived tables, subqueries) see `None` and their charges
-        // roll into the enclosing operator's delta.
-        let mut alog = self.analyze.take();
-        let res = self.exec_plan_row(plan, outer, &mut alog);
-        self.analyze = alog;
+        // Only the root plan logs EXPLAIN ANALYZE observations.
+        let mut log = self.open_log();
+        let res = self.exec_plan_row(plan, outer, &mut log);
+        self.close_log(log);
         res
     }
 
@@ -104,40 +102,29 @@ impl ExecCtx<'_> {
         &mut self,
         plan: &QueryPlan,
         outer: &[Scope<'_>],
-        alog: &mut Option<Vec<OpStats>>,
+        log: &mut Option<OpLog>,
     ) -> Result<(Relation, bool), RuntimeError> {
         let mut used_outer = false;
-        let mut last = self.counter.units();
-        let mut t_last = std::time::Instant::now();
 
         // ---- FROM items -------------------------------------------------
         let mut item_rels: Vec<Relation> = Vec::with_capacity(plan.items.len());
         for item in &plan.items {
-            let rel = self.exec_node(item, outer, &mut used_outer)?;
-            observe(
-                alog,
-                &self.counter,
-                &mut last,
-                &mut t_last,
-                rel.len(),
+            let rel = self.step(
+                log,
                 || item_label(item),
-            );
+                |ctx| ctx.exec_node(item, outer, &mut used_outer),
+            )?;
             item_rels.push(rel);
         }
 
         // ---- pushed single-item filters, in original conjunct order ----
         for (i, pred) in &plan.pushed {
             let rel = std::mem::take(&mut item_rels[*i]);
-            let rel = self.filter(rel, pred, outer, &mut used_outer)?;
-            observe(
-                alog,
-                &self.counter,
-                &mut last,
-                &mut t_last,
-                rel.len(),
+            item_rels[*i] = self.step(
+                log,
                 || format!("Filter ({pred})"),
-            );
-            item_rels[*i] = rel;
+                |ctx| ctx.filter(rel, pred, outer, &mut used_outer),
+            )?;
         }
 
         // ---- fold the comma-list items ---------------------------------
@@ -146,15 +133,12 @@ impl ExecCtx<'_> {
             _ => {
                 let mut acc = item_rels.remove(0);
                 for (k, next) in item_rels.into_iter().enumerate() {
-                    acc = self.fold(acc, next, plan.folds.get(k), outer, &mut used_outer)?;
-                    observe(
-                        alog,
-                        &self.counter,
-                        &mut last,
-                        &mut t_last,
-                        acc.len(),
-                        || fold_label(plan.folds.get(k)),
-                    );
+                    let step = plan.folds.get(k);
+                    acc = self.step(
+                        log,
+                        || fold_label(step),
+                        |ctx| ctx.fold(acc, next, step, outer, &mut used_outer),
+                    )?;
                 }
                 acc
             }
@@ -162,78 +146,42 @@ impl ExecCtx<'_> {
 
         // ---- residual WHERE ---------------------------------------------
         for pred in &plan.residual {
-            source = self.filter(source, pred, outer, &mut used_outer)?;
-            observe(
-                alog,
-                &self.counter,
-                &mut last,
-                &mut t_last,
-                source.len(),
+            source = self.step(
+                log,
                 || format!("Filter ({pred})"),
-            );
+                |ctx| ctx.filter(source, pred, outer, &mut used_outer),
+            )?;
         }
 
         // ---- projection / aggregation ----------------------------------
         let is_agg = matches!(plan.select, SelectOp::Aggregate { .. });
-        let mut projected = self.select(&plan.select, &source, outer, &mut used_outer)?;
-        observe(
-            alog,
-            &self.counter,
-            &mut last,
-            &mut t_last,
-            projected.len(),
+        let mut projected = self.step(
+            log,
             || select_label(&plan.select),
-        );
+            |ctx| ctx.select(&plan.select, &source, outer, &mut used_outer),
+        )?;
 
         // ---- DISTINCT ----------------------------------------------------
         if plan.distinct {
-            projected = self.distinct(projected)?;
-            observe(
-                alog,
-                &self.counter,
-                &mut last,
-                &mut t_last,
-                projected.len(),
-                || "Distinct".into(),
-            );
+            projected = self.step(log, || "Distinct".into(), |ctx| ctx.distinct(projected))?;
         }
 
         // ---- ORDER BY (on projected output, falling back to source) ----
-        if !plan.order_by.is_empty() && !is_agg {
-            projected =
-                self.order_by(&plan.order_by, projected, &source, outer, &mut used_outer)?;
-        } else if !plan.order_by.is_empty() {
-            // Aggregate outputs sort on their projected columns only.
-            projected = self.order_by(
-                &plan.order_by,
-                projected,
-                &Relation::default(),
-                outer,
-                &mut used_outer,
-            )?;
-        }
         if !plan.order_by.is_empty() {
-            observe(
-                alog,
-                &self.counter,
-                &mut last,
-                &mut t_last,
-                projected.len(),
+            // Aggregate outputs sort on their projected columns only.
+            let empty = Relation::default();
+            let keys_from = if is_agg { &empty } else { &source };
+            projected = self.step(
+                log,
                 || format!("Sort [{} keys]", plan.order_by.len()),
-            );
+                |ctx| ctx.order_by(&plan.order_by, projected, keys_from, outer, &mut used_outer),
+            )?;
         }
 
         // ---- TOP ----------------------------------------------------------
         if let Some(n) = plan.top {
             projected.rows.truncate(n as usize);
-            observe(
-                alog,
-                &self.counter,
-                &mut last,
-                &mut t_last,
-                projected.len(),
-                || format!("Limit {n}"),
-            );
+            projected = self.step(log, || format!("Limit {n}"), |_| Ok(projected))?;
         }
 
         Ok((projected, used_outer))
@@ -248,11 +196,7 @@ impl ExecCtx<'_> {
         used_outer: &mut bool,
     ) -> Result<Relation, RuntimeError> {
         match node {
-            LogicalPlan::Scan {
-                table,
-                alias,
-                columns,
-            } => self.scan(table, alias.as_deref(), columns.as_deref()),
+            LogicalPlan::Scan { table, alias } => self.scan(table, alias.as_deref()),
             LogicalPlan::Subquery { plan, alias } => {
                 let (mut rel, uo) = self.exec_plan(plan, outer)?;
                 *used_outer |= uo;
@@ -314,7 +258,6 @@ impl ExecCtx<'_> {
         &mut self,
         table: &QualifiedName,
         alias: Option<&str>,
-        columns: Option<&[usize]>,
     ) -> Result<Relation, RuntimeError> {
         let canonical = table.canonical();
         let table = self
@@ -324,31 +267,13 @@ impl ExecCtx<'_> {
         let n = table.row_count();
         self.counter.rows_scanned += n as u64;
         self.check_budget(n)?;
-        let qualifier = alias.map(|a| a.to_ascii_lowercase());
-        let tname = table.name.to_ascii_lowercase();
-        let keep: Vec<usize> = match columns {
-            None => (0..table.columns.len()).collect(),
-            Some(keep) => keep.to_vec(),
-        };
-        let cols = keep
-            .iter()
-            .filter_map(|&i| table.columns.get(i))
-            .map(|c| ColRef {
-                qualifier: qualifier.clone(),
-                table: Some(tname.clone()),
-                name: c.name.clone(),
-            })
+        let rows = (0..n)
+            .map(|r| table.data.iter().map(|c| c.get(r)).collect())
             .collect();
-        let mut rows = Vec::with_capacity(n);
-        for r in 0..n {
-            rows.push(
-                keep.iter()
-                    .filter_map(|&i| table.data.get(i))
-                    .map(|c| c.get(r))
-                    .collect(),
-            );
-        }
-        Ok(Relation { cols, rows })
+        Ok(Relation {
+            cols: scan_schema(table, alias),
+            rows,
+        })
     }
 
     /// Combine two comma-list items according to the planned fold step
@@ -944,9 +869,9 @@ impl ExecCtx<'_> {
         plan: &QueryPlan,
         outer: &[Scope<'_>],
     ) -> Result<(ColumnBatch, bool), RuntimeError> {
-        let mut alog = self.analyze.take();
-        let res = self.exec_plan_batch_inner(plan, outer, &mut alog);
-        self.analyze = alog;
+        let mut log = self.open_log();
+        let res = self.exec_plan_batch_inner(plan, outer, &mut log);
+        self.close_log(log);
         res
     }
 
@@ -954,43 +879,35 @@ impl ExecCtx<'_> {
         &mut self,
         plan: &QueryPlan,
         outer: &[Scope<'_>],
-        alog: &mut Option<Vec<OpStats>>,
+        log: &mut Option<OpLog>,
     ) -> Result<(ColumnBatch, bool), RuntimeError> {
         let mut used_outer = false;
-        let mut last = self.counter.units();
-        let mut t_last = std::time::Instant::now();
 
         // ---- FROM items -------------------------------------------------
         let mut item_rels: Vec<ColumnBatch> = Vec::with_capacity(plan.items.len());
         for item in &plan.items {
-            let rel = self.exec_node_batch(item, outer, &mut used_outer)?;
-            observe(
-                alog,
-                &self.counter,
-                &mut last,
-                &mut t_last,
-                rel.len(),
+            let rel = self.step(
+                log,
                 || item_label(item),
-            );
+                |ctx| ctx.exec_node_batch(item, outer, &mut used_outer),
+            )?;
             item_rels.push(rel);
         }
 
         // ---- pushed single-item filters, in original conjunct order ----
         for (i, pred) in &plan.pushed {
             let input = &item_rels[*i];
-            let rel = self.settle(
-                &mut used_outer,
-                |ctx, uo| ctx.filter_batch(input, pred, outer, uo),
-                |ctx, uo| ctx.filter(input.to_relation(), pred, outer, uo),
-            )?;
-            observe(
-                alog,
-                &self.counter,
-                &mut last,
-                &mut t_last,
-                rel.len(),
+            let rel = self.step(
+                log,
                 || format!("Filter ({pred})"),
-            );
+                |ctx| {
+                    ctx.settle(
+                        &mut used_outer,
+                        |ctx, uo| ctx.filter_batch(input, pred, outer, uo),
+                        |ctx, uo| ctx.filter(input.to_relation(), pred, outer, uo),
+                    )
+                },
+            )?;
             item_rels[*i] = rel;
         }
 
@@ -1001,19 +918,20 @@ impl ExecCtx<'_> {
                 let mut acc = item_rels.remove(0);
                 for (k, next) in item_rels.into_iter().enumerate() {
                     let step = plan.folds.get(k);
-                    acc = self.settle(
-                        &mut used_outer,
-                        |ctx, uo| ctx.fold_batch(&acc, &next, step, outer, uo),
-                        |ctx, uo| ctx.fold(acc.to_relation(), next.to_relation(), step, outer, uo),
+                    acc = self.step(
+                        log,
+                        || fold_label(step),
+                        |ctx| {
+                            ctx.settle(
+                                &mut used_outer,
+                                |ctx, uo| ctx.fold_batch(&acc, &next, step, outer, uo),
+                                |ctx, uo| {
+                                    let (acc, next) = (acc.to_relation(), next.to_relation());
+                                    ctx.fold(acc, next, step, outer, uo)
+                                },
+                            )
+                        },
                     )?;
-                    observe(
-                        alog,
-                        &self.counter,
-                        &mut last,
-                        &mut t_last,
-                        acc.len(),
-                        || fold_label(plan.folds.get(k)),
-                    );
                 }
                 acc
             }
@@ -1021,52 +939,46 @@ impl ExecCtx<'_> {
 
         // ---- residual WHERE ---------------------------------------------
         for pred in &plan.residual {
-            source = self.settle(
-                &mut used_outer,
-                |ctx, uo| ctx.filter_batch(&source, pred, outer, uo),
-                |ctx, uo| ctx.filter(source.to_relation(), pred, outer, uo),
-            )?;
-            observe(
-                alog,
-                &self.counter,
-                &mut last,
-                &mut t_last,
-                source.len(),
+            source = self.step(
+                log,
                 || format!("Filter ({pred})"),
-            );
+                |ctx| {
+                    ctx.settle(
+                        &mut used_outer,
+                        |ctx, uo| ctx.filter_batch(&source, pred, outer, uo),
+                        |ctx, uo| ctx.filter(source.to_relation(), pred, outer, uo),
+                    )
+                },
+            )?;
         }
 
         // ---- projection / aggregation ----------------------------------
         let is_agg = matches!(plan.select, SelectOp::Aggregate { .. });
-        let mut projected = self.settle(
-            &mut used_outer,
-            |ctx, uo| ctx.select_batch(&plan.select, &source, outer, uo),
-            |ctx, uo| ctx.select(&plan.select, &source.to_relation(), outer, uo),
-        )?;
-        observe(
-            alog,
-            &self.counter,
-            &mut last,
-            &mut t_last,
-            projected.len(),
+        let mut projected = self.step(
+            log,
             || select_label(&plan.select),
-        );
+            |ctx| {
+                ctx.settle(
+                    &mut used_outer,
+                    |ctx, uo| ctx.select_batch(&plan.select, &source, outer, uo),
+                    |ctx, uo| ctx.select(&plan.select, &source.to_relation(), outer, uo),
+                )
+            },
+        )?;
 
         // ---- DISTINCT ----------------------------------------------------
         if plan.distinct {
-            projected = self.settle(
-                &mut used_outer,
-                |ctx, _| ctx.distinct_batch(&projected),
-                |ctx, _| ctx.distinct(projected.to_relation()),
-            )?;
-            observe(
-                alog,
-                &self.counter,
-                &mut last,
-                &mut t_last,
-                projected.len(),
+            projected = self.step(
+                log,
                 || "Distinct".into(),
-            );
+                |ctx| {
+                    ctx.settle(
+                        &mut used_outer,
+                        |ctx, _| ctx.distinct_batch(&projected),
+                        |ctx, _| ctx.distinct(projected.to_relation()),
+                    )
+                },
+            )?;
         }
 
         // ---- ORDER BY (on projected output, falling back to source) ----
@@ -1074,35 +986,29 @@ impl ExecCtx<'_> {
             // Aggregate outputs sort on their projected columns only.
             let empty = ColumnBatch::default();
             let keys_from = if is_agg { &empty } else { &source };
-            projected = self.settle(
-                &mut used_outer,
-                |ctx, uo| ctx.order_by_batch(&plan.order_by, &projected, keys_from, outer, uo),
-                |ctx, uo| {
-                    let (projected, keys_from) = (projected.to_relation(), keys_from.to_relation());
-                    ctx.order_by(&plan.order_by, projected, &keys_from, outer, uo)
+            projected = self.step(
+                log,
+                || format!("Sort [{} keys]", plan.order_by.len()),
+                |ctx| {
+                    ctx.settle(
+                        &mut used_outer,
+                        |ctx, uo| {
+                            ctx.order_by_batch(&plan.order_by, &projected, keys_from, outer, uo)
+                        },
+                        |ctx, uo| {
+                            let (projected, keys_from) =
+                                (projected.to_relation(), keys_from.to_relation());
+                            ctx.order_by(&plan.order_by, projected, &keys_from, outer, uo)
+                        },
+                    )
                 },
             )?;
-            observe(
-                alog,
-                &self.counter,
-                &mut last,
-                &mut t_last,
-                projected.len(),
-                || format!("Sort [{} keys]", plan.order_by.len()),
-            );
         }
 
         // ---- TOP ----------------------------------------------------------
         if let Some(n) = plan.top {
             projected.truncate(n as usize);
-            observe(
-                alog,
-                &self.counter,
-                &mut last,
-                &mut t_last,
-                projected.len(),
-                || format!("Limit {n}"),
-            );
+            projected = self.step(log, || format!("Limit {n}"), |_| Ok(projected))?;
         }
 
         Ok((projected, used_outer))
@@ -1115,14 +1021,10 @@ impl ExecCtx<'_> {
         used_outer: &mut bool,
     ) -> Result<ColumnBatch, RuntimeError> {
         match node {
-            LogicalPlan::Scan {
-                table,
-                alias,
-                columns,
-            } => self.settle(
+            LogicalPlan::Scan { table, alias } => self.settle(
                 used_outer,
-                |ctx, _| ctx.scan_batch(table, alias.as_deref(), columns.as_deref()),
-                |ctx, _| ctx.scan(table, alias.as_deref(), columns.as_deref()),
+                |ctx, _| ctx.scan_batch(table, alias.as_deref()),
+                |ctx, _| ctx.scan(table, alias.as_deref()),
             ),
             LogicalPlan::Subquery { plan, alias } => {
                 let (mut rel, uo) = self.exec_plan_batch(plan, outer)?;
@@ -1198,7 +1100,6 @@ impl ExecCtx<'_> {
         &mut self,
         table: &QualifiedName,
         alias: Option<&str>,
-        columns: Option<&[usize]>,
     ) -> Result<ColumnBatch, RuntimeError> {
         let canonical = table.canonical();
         let table = self
@@ -1208,27 +1109,12 @@ impl ExecCtx<'_> {
         let n = table.row_count();
         self.counter.rows_scanned += n as u64;
         self.check_budget(n)?;
-        let qualifier = alias.map(|a| a.to_ascii_lowercase());
-        let tname = table.name.to_ascii_lowercase();
-        let keep: Vec<usize> = match columns {
-            None => (0..table.columns.len()).collect(),
-            Some(keep) => keep.to_vec(),
-        };
-        let cols = keep
+        let data = table
+            .data
             .iter()
-            .filter_map(|&i| table.columns.get(i))
-            .map(|c| ColRef {
-                qualifier: qualifier.clone(),
-                table: Some(tname.clone()),
-                name: c.name.clone(),
-            })
-            .collect();
-        let data = keep
-            .iter()
-            .filter_map(|&i| table.data.get(i))
             .map(|c| Arc::new(Column::Shared(Arc::clone(c))))
             .collect();
-        Ok(ColumnBatch::new(cols, data, n))
+        Ok(ColumnBatch::new(scan_schema(table, alias), data, n))
     }
 
     /// Batch twin of [`ExecCtx::fold`].

@@ -3,10 +3,10 @@
 //!
 //! [`lower`] translates a [`Query`] into a naive [`QueryPlan`] — scans and
 //! explicit joins exactly as written, every WHERE conjunct left as a
-//! residual filter, every comma-join folded as a cross product. The
-//! [`crate::optimizer`] passes then rewrite the plan (predicate pushdown,
-//! equi-join detection, constant folding, projection pruning), and
-//! [`crate::physical`] executes the result against the catalog.
+//! residual filter, every comma-join folded as a cross product.
+//! [`crate::optimizer::plan`] then rewrites the plan (predicate pushdown,
+//! equi-join detection), and [`crate::physical`] executes the result
+//! against the catalog.
 //!
 //! The plan deliberately keeps the *phase structure* of query execution
 //! explicit — FROM items, pushed filters (in original conjunct order),
@@ -20,19 +20,17 @@
 
 use sqlan_sql::{Expr, JoinKind, OrderByItem, QualifiedName, Query, SelectItem, TableFactor};
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, Table};
 use crate::error::RuntimeError;
 use crate::relation::{ColRef, Relation};
 
 /// A relational operator tree for one FROM item (or a nested subquery).
 #[derive(Debug, Clone)]
 pub enum LogicalPlan {
-    /// Scan a base table. `columns` restricts the materialized columns
-    /// (projection pruning); `None` keeps the full schema.
+    /// Scan a base table.
     Scan {
         table: QualifiedName,
         alias: Option<String>,
-        columns: Option<Vec<usize>>,
     },
     /// A derived table: a fully planned subquery bound under an alias.
     Subquery {
@@ -170,7 +168,6 @@ fn lower_factor(factor: &TableFactor) -> LogicalPlan {
         TableFactor::Table { name, alias } => LogicalPlan::Scan {
             table: name.clone(),
             alias: alias.clone(),
-            columns: None,
         },
         TableFactor::Derived { subquery, alias } => LogicalPlan::Subquery {
             plan: Box::new(lower(subquery)),
@@ -239,30 +236,10 @@ pub fn schema_relation(cols: Vec<ColRef>) -> Relation {
 /// the error at execution time, preserving the engine's error ordering.
 pub fn node_schema(node: &LogicalPlan, catalog: &Catalog) -> Vec<ColRef> {
     match node {
-        LogicalPlan::Scan {
-            table,
-            alias,
-            columns,
-        } => {
-            let Some(t) = catalog.get(&table.canonical()) else {
-                return Vec::new();
-            };
-            let qualifier = alias.as_ref().map(|a| a.to_ascii_lowercase());
-            let tname = t.name.to_ascii_lowercase();
-            let all: Vec<ColRef> = t
-                .columns
-                .iter()
-                .map(|c| ColRef {
-                    qualifier: qualifier.clone(),
-                    table: Some(tname.clone()),
-                    name: c.name.clone(),
-                })
-                .collect();
-            match columns {
-                None => all,
-                Some(keep) => keep.iter().filter_map(|&i| all.get(i).cloned()).collect(),
-            }
-        }
+        LogicalPlan::Scan { table, alias } => match catalog.get(&table.canonical()) {
+            Some(t) => scan_schema(t, alias.as_deref()),
+            None => Vec::new(),
+        },
         LogicalPlan::Subquery { plan, alias } => {
             let qualifier = alias.as_ref().map(|a| a.to_ascii_lowercase());
             plan.output_schema(catalog)
@@ -281,6 +258,22 @@ pub fn node_schema(node: &LogicalPlan, catalog: &Catalog) -> Vec<ColRef> {
             cols
         }
     }
+}
+
+/// The columns a scan of `table` under `alias` produces — shared by
+/// plan-time schemas and both physical scans so they can never disagree.
+pub(crate) fn scan_schema(table: &Table, alias: Option<&str>) -> Vec<ColRef> {
+    let qualifier = alias.map(|a| a.to_ascii_lowercase());
+    let tname = table.name.to_ascii_lowercase();
+    table
+        .columns
+        .iter()
+        .map(|c| ColRef {
+            qualifier: qualifier.clone(),
+            table: Some(tname.clone()),
+            name: c.name.clone(),
+        })
+        .collect()
 }
 
 impl QueryPlan {
@@ -492,17 +485,10 @@ impl QueryPlan {
 
 fn render_node(node: &LogicalPlan, depth: usize, lines: &mut Vec<(usize, String)>) {
     match node {
-        LogicalPlan::Scan {
-            table,
-            alias,
-            columns,
-        } => {
+        LogicalPlan::Scan { table, alias } => {
             let mut text = format!("Scan {}", table.canonical());
             if let Some(a) = alias {
                 text.push_str(&format!(" AS {a}"));
-            }
-            if let Some(keep) = columns {
-                text.push_str(&format!(" [{} cols]", keep.len()));
             }
             lines.push((depth, text));
         }

@@ -22,13 +22,12 @@
 //!    aliases, CAST type arguments — stay concrete and are hashed by
 //!    value).  Two statements with equal fingerprints therefore differ
 //!    only in literal *values* at expression positions.
-//! 2. Every optimizer pass admitted by [`Optimizer::cache_safe`] treats
-//!    `Param` exactly like an opaque literal: it never inspects the
-//!    value, so `plan(template)` rebound with literals L equals
-//!    `plan(statement-with-L)` node for node.  Value-dependent passes
-//!    (constant folding) disable the cache entirely.
-//!
-//! [`Optimizer::cache_safe`]: crate::Optimizer::cache_safe
+//! 2. [`crate::optimizer::plan`] treats `Param` exactly like an opaque
+//!    literal at every level: lowering copies expressions as written,
+//!    and predicate pushdown and equi-join detection decide by the
+//!    columns a conjunct references, never by a literal's value.  So
+//!    `plan(template)` rebound with literals L equals
+//!    `plan(statement-with-L)` node for node.
 //!
 //! ## Concurrency
 //!

@@ -11,7 +11,9 @@
 mod common;
 
 use common::{catalog, corpus};
-use sqlan_engine::{Catalog, ColumnSpec, CostCounter, Database, Engine, ExecLimits, TableSpec};
+use sqlan_engine::{
+    Catalog, ColumnSpec, CostCounter, Database, Engine, ExecCtx, ExecLimits, TableSpec,
+};
 use sqlan_sql::Statement;
 
 fn dbs() -> (Database, Database) {
@@ -76,37 +78,41 @@ fn submit_outcomes_identical_across_engines_on_corpus() {
     }
 }
 
+/// Failing statements of every kind: runtime errors in each operator,
+/// failures after an uncorrelated subquery ran, and statements the
+/// portal rejects or denies.
+const FAILING: &[&str] = &[
+    "SELECT * FROM NoSuchTable",
+    "SELECT nocolumn FROM Obj",
+    "SELECT 1/0 FROM Obj",
+    "SELECT id FROM Obj WHERE x / (x - x) > 1",
+    "SELECT x FROM Obj, Spec", // ambiguous? no — x unique; use tag vs tag
+    "SELECT id FROM Obj WHERE nosuch(x) > 0",
+    "SELECT count(x) FROM Obj WHERE count(x) > 1", // aggregate in WHERE
+    "SELECT id FROM Obj WHERE y > (SELECT y FROM Obj)", // scalar cardinality
+    "SELECT o.id FROM Obj o WHERE o.x > 2 AND nocolumn = 1",
+    // The failing operator first runs and caches an uncorrelated
+    // subquery: its row twin must run that subquery again and charge
+    // it, not reuse the failed attempt's cache entry.
+    "SELECT id FROM Obj WHERE x > (SELECT avg(z) FROM Spec) + nocolumn",
+    "SELECT id, (SELECT max(z) FROM Spec) + nocolumn FROM Obj",
+    "SELECT id FROM Obj WHERE x IN (SELECT obj_id FROM Spec) OR y / (x - x) > 1",
+    "SELECT id FROM Obj ORDER BY (SELECT max(z) FROM Spec) + nocolumn",
+    "SELECT kind, count(*) FROM Obj GROUP BY kind \
+     HAVING count(*) > (SELECT count(*) FROM Tiny) + nocolumn",
+    "SELEC syntax error",
+    "UPDATE Obj SET x = 1",
+    "DROP TABLE Obj",
+    "EXEC dbo.blah 1",
+];
+
 /// Failing statements: the columnar engine settles the failing operator
 /// on its row twin, so the abort-point cost counter (a label!) must match
 /// exactly.
 #[test]
 fn error_outcomes_identical_across_engines() {
     let (row, col) = dbs();
-    let failing = [
-        "SELECT * FROM NoSuchTable",
-        "SELECT nocolumn FROM Obj",
-        "SELECT 1/0 FROM Obj",
-        "SELECT id FROM Obj WHERE x / (x - x) > 1",
-        "SELECT x FROM Obj, Spec", // ambiguous? no — x unique; use tag vs tag
-        "SELECT id FROM Obj WHERE nosuch(x) > 0",
-        "SELECT count(x) FROM Obj WHERE count(x) > 1", // aggregate in WHERE
-        "SELECT id FROM Obj WHERE y > (SELECT y FROM Obj)", // scalar cardinality
-        "SELECT o.id FROM Obj o WHERE o.x > 2 AND nocolumn = 1",
-        // The failing operator first runs and caches an uncorrelated
-        // subquery: its row twin must run that subquery again and charge
-        // it, not reuse the failed attempt's cache entry.
-        "SELECT id FROM Obj WHERE x > (SELECT avg(z) FROM Spec) + nocolumn",
-        "SELECT id, (SELECT max(z) FROM Spec) + nocolumn FROM Obj",
-        "SELECT id FROM Obj WHERE x IN (SELECT obj_id FROM Spec) OR y / (x - x) > 1",
-        "SELECT id FROM Obj ORDER BY (SELECT max(z) FROM Spec) + nocolumn",
-        "SELECT kind, count(*) FROM Obj GROUP BY kind \
-         HAVING count(*) > (SELECT count(*) FROM Tiny) + nocolumn",
-        "SELEC syntax error",
-        "UPDATE Obj SET x = 1",
-        "DROP TABLE Obj",
-        "EXEC dbo.blah 1",
-    ];
-    for sql in failing {
+    for sql in FAILING {
         let a = row.submit(sql);
         let b = col.submit(sql);
         assert_eq!(
@@ -114,6 +120,44 @@ fn error_outcomes_identical_across_engines() {
             format!("{b:?}"),
             "error outcome diverged on: {sql}"
         );
+    }
+}
+
+/// EXPLAIN ANALYZE accounts for every unit: on both engines, the
+/// per-operator charges of a statement's root plan add up to its
+/// [`CostCounter::units`], whether it succeeds or fails (a failing
+/// operator is listed with what it charged before aborting).
+#[test]
+fn analyzed_operator_units_sum_to_statement_units_on_both_engines() {
+    let (row, col) = dbs();
+    let statements = corpus()
+        .into_iter()
+        .chain(FAILING.iter().map(|s| s.to_string()));
+    for sql in statements {
+        let Ok(script) = sqlan_sql::parse_script(&sql) else {
+            continue; // rejected before planning: no operators
+        };
+        for stmt in &script.statements {
+            let Statement::Select(q) = stmt else {
+                continue; // no operator pipeline
+            };
+            for db in [&row, &col] {
+                let mut label = CostCounter::default();
+                let _ = db.run_query(q, &mut label);
+                let mut ctx = ExecCtx::new(&db.catalog, &db.fns, db.limits)
+                    .with_engine(db.engine)
+                    .analyzed();
+                let _ = ctx.exec_query(q, &[]);
+                let observed: u64 = ctx.take_observations().iter().map(|s| s.units).sum();
+                assert_eq!(ctx.counter.units(), label.units(), "{sql}");
+                assert_eq!(
+                    observed,
+                    label.units(),
+                    "operator units do not add up on {:?}: {sql}",
+                    db.engine
+                );
+            }
+        }
     }
 }
 

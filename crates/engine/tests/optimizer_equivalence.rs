@@ -1,115 +1,46 @@
-//! Optimizer-equivalence suite: every pass configuration must return the
-//! same rows.
+//! Optimizer-equivalence suite: planning never changes rows.
 //!
-//! For a corpus of generated queries, each optimizer pass is toggled on
-//! and off — individually, in combination, and at every [`OptLevel`] —
-//! and the results are compared order-insensitively against the default
-//! configuration. Passes may change *how much work* execution does (that
-//! is their job), but never *what* a query returns.
+//! For a corpus of generated queries, the naive lowered plan
+//! ([`OptLevel::None`]) must return the same rows as the optimized plan
+//! ([`OptLevel::Default`]: predicate pushdown, then equi-join detection),
+//! compared order-insensitively. The rewrites may change *how much work*
+//! execution does (that is their job), but never *what* a query returns.
 
 mod common;
 
 use common::{catalog, corpus, run};
 
-use sqlan_engine::{
-    ConstantFolding, CostCounter, Database, EquiJoinDetection, ExecLimits, OptLevel, Optimizer,
-    PredicatePushdown, ProjectionPruning,
-};
+use sqlan_engine::{CostCounter, Database, ExecLimits, OptLevel};
 use sqlan_sql::Statement;
-
-fn configs() -> Vec<(String, Optimizer)> {
-    let mut out: Vec<(String, Optimizer)> = vec![
-        ("none".into(), Optimizer::none()),
-        ("default".into(), Optimizer::with_level(OptLevel::Default)),
-        (
-            "aggressive".into(),
-            Optimizer::with_level(OptLevel::Aggressive),
-        ),
-        (
-            "only_pushdown".into(),
-            Optimizer::none().with_pass(PredicatePushdown),
-        ),
-        (
-            "only_equijoin".into(),
-            Optimizer::none().with_pass(EquiJoinDetection),
-        ),
-        (
-            "only_folding".into(),
-            Optimizer::none().with_pass(ConstantFolding),
-        ),
-        (
-            "only_pruning".into(),
-            Optimizer::none().with_pass(ProjectionPruning),
-        ),
-    ];
-    // Default minus each of its passes, via the name-based toggle.
-    for name in ["predicate_pushdown", "equi_join_detection"] {
-        out.push((
-            format!("default_without_{name}"),
-            Optimizer::with_level(OptLevel::Default).without_pass(name),
-        ));
-    }
-    // Aggressive minus each extra pass.
-    for name in ["constant_folding", "projection_pruning"] {
-        out.push((
-            format!("aggressive_without_{name}"),
-            Optimizer::with_level(OptLevel::Aggressive).without_pass(name),
-        ));
-    }
-    out
-}
 
 #[test]
 fn every_pass_configuration_returns_identical_rows() {
     let cat = catalog();
     // Cross-product folds materialize up to |Obj| × |Spec| × |Tiny| rows;
-    // raise the budget so `none` can finish and be compared.
+    // raise the budget so the naive plan can finish and be compared.
     let limits = ExecLimits {
         max_rows: 2_000_000,
         max_units: u64::MAX,
     };
-    let reference_db = Database::new(cat.clone()).with_limits(limits);
-
-    let corpus = corpus();
-    let reference: Vec<Result<Vec<String>, String>> =
-        corpus.iter().map(|sql| run(&reference_db, sql)).collect();
-    for (i, r) in reference.iter().enumerate() {
+    let optimized = Database::new(cat.clone()).with_limits(limits);
+    let naive = Database::new(cat)
+        .with_limits(limits)
+        .with_opt_level(OptLevel::None);
+    for sql in corpus() {
+        let want = run(&optimized, &sql);
         assert!(
-            r.is_ok(),
-            "corpus query must succeed at default level: {:?} — {}",
-            r,
-            corpus[i]
+            want.is_ok(),
+            "corpus query must succeed at default level: {want:?} — {sql}"
+        );
+        assert_eq!(
+            run(&naive, &sql),
+            want,
+            "results diverged between the naive and the optimized plan\nquery: {sql}"
         );
     }
-
-    for (name, optimizer) in configs() {
-        let db = Database::new(cat.clone())
-            .with_limits(limits)
-            .with_optimizer(optimizer);
-        for (sql, want) in corpus.iter().zip(&reference) {
-            let got = run(&db, sql);
-            assert_eq!(
-                &got, want,
-                "results diverged under optimizer config `{name}`\nquery: {sql}"
-            );
-        }
-    }
 }
 
-#[test]
-fn default_level_runs_exactly_the_seed_pass_set() {
-    let names = Optimizer::with_level(OptLevel::Default).pass_names();
-    assert_eq!(names, vec!["predicate_pushdown", "equi_join_detection"]);
-}
-
-#[test]
-fn pass_toggle_by_name_removes_the_pass() {
-    let opt = Optimizer::with_level(OptLevel::Aggressive).without_pass("constant_folding");
-    assert!(!opt.pass_names().contains(&"constant_folding"));
-    assert!(opt.pass_names().contains(&"projection_pruning"));
-}
-
-/// The optimizer's whole point: the default pass set must make the classic
+/// The optimizer's whole point: the default level must make the classic
 /// SDSS comma-join linear. Compare cost counters, not wall time.
 #[test]
 fn pushdown_and_hash_join_reduce_measured_cost() {
@@ -141,7 +72,7 @@ fn pushdown_and_hash_join_reduce_measured_cost() {
 
     assert!(
         opt.units() * 10 < naive.units(),
-        "default passes should cut cost by >10x: naive {} vs optimized {}",
+        "the default level should cut cost by >10x: naive {} vs optimized {}",
         naive.units(),
         opt.units()
     );

@@ -10,7 +10,7 @@ mod common;
 
 use common::{catalog, corpus};
 use proptest::prelude::*;
-use sqlan_engine::{Database, ErrorClass, ExecLimits, OptLevel, Optimizer, QueryOutcome};
+use sqlan_engine::{Database, ErrorClass, ExecLimits, OptLevel, QueryOutcome};
 
 /// Budget generous enough that every corpus query completes (same as the
 /// optimizer-equivalence suite).
@@ -154,27 +154,24 @@ fn tiny_capacity_evicts_but_never_corrupts() {
 }
 
 #[test]
-fn value_dependent_optimizer_disables_cache() {
-    let aggressive = Database::new(catalog())
-        .with_limits(limits())
-        .with_opt_level(OptLevel::Aggressive);
-    assert!(
-        aggressive.plan_cache_stats().is_none(),
-        "constant folding bakes literal values into plans; caching must be off"
-    );
-    // And asking for a cache explicitly still refuses.
-    let forced = aggressive.clone().with_plan_cache(64);
-    assert!(forced.plan_cache_stats().is_none());
-
-    // The default pass set is cache-safe.
-    assert!(Optimizer::default().cache_safe());
-    let default = Database::new(catalog()).with_plan_cache(64);
-    assert!(default.plan_cache_stats().is_some());
-
-    // Aggressive results still match the cached default where both
-    // succeed deterministically (sanity that the gate itself is sound).
-    let out = aggressive.submit("SELECT count(*) FROM Obj WHERE kind = 1 + 2");
-    assert_eq!(out.error_class, ErrorClass::Success);
+fn plan_cache_is_on_at_every_level_unless_capacity_is_zero() {
+    for level in [OptLevel::None, OptLevel::Default] {
+        let db = Database::new(catalog())
+            .with_limits(limits())
+            .with_opt_level(level);
+        assert!(db.plan_cache_stats().is_some(), "{level:?}: cache off");
+        assert!(db.clone().with_plan_cache(0).plan_cache_stats().is_none());
+        // A repeated template hits at either level, and a hit returns
+        // what the fresh path returns.
+        let fresh = db.clone().with_plan_cache(0);
+        for x in [3, 17] {
+            let sql = format!("SELECT count(*) FROM Obj WHERE kind = 1 + {x}");
+            let out = db.submit(&sql);
+            assert_eq!(out.error_class, ErrorClass::Success);
+            assert_same(&out, &fresh.submit(&sql), &sql);
+        }
+        assert_eq!(db.plan_cache_stats().unwrap().hits, 1, "{level:?}");
+    }
 }
 
 #[test]

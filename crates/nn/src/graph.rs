@@ -14,11 +14,10 @@
 //! covers a whole minibatch ([`Graph::conv1d_packed`],
 //! [`Graph::max_over_segs`], [`Graph::gather_rows`],
 //! [`Graph::select_rows_where`], [`Graph::softmax_ce_rows`],
-//! [`Graph::huber_rows`], [`Graph::sum_all`]). The per-example methods
-//! (`conv1d`, `max_over_time`, `softmax_ce`, `huber`, `select_row`) are
-//! single-segment wrappers over the same kernels, which is what makes
-//! batched inference *bit-identical* to the per-example path: both run
-//! the exact same per-row accumulation order, batching only along rows.
+//! [`Graph::huber_rows`], [`Graph::sum_all`]). A single example is the
+//! one-segment (or one-row) case of the same kernels, which is what makes
+//! batched inference *bit-identical* to per-example scoring: both run the
+//! exact same per-row accumulation order, batching only along rows.
 //!
 //! **Allocation.** Node values and backward temporaries draw from the
 //! thread-local [buffer arena](crate::arena) and are recycled when the
@@ -52,10 +51,7 @@ enum Op {
     Add(Var, Var),
     /// (m,n) + broadcast (1,n).
     AddRow(Var, Var),
-    Mul(Var, Var),
     Scale(Var, f32),
-    Sigmoid(Var),
-    Tanh(Var),
     Relu(Var),
     /// Columns [start, end) of the operand.
     SliceCols(Var, usize, usize),
@@ -199,38 +195,9 @@ impl<'p> Graph<'p> {
         self.push(v, Op::AddRow(a, b))
     }
 
-    pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let (ta, tb) = (self.value(a), self.value(b));
-        assert_eq!(ta.shape(), tb.shape(), "mul shape mismatch");
-        let v = Tensor::collect_pooled(
-            ta.rows,
-            ta.cols,
-            ta.data.iter().zip(&tb.data).map(|(x, y)| x * y),
-        );
-        self.push(v, Op::Mul(a, b))
-    }
-
     pub fn scale(&mut self, a: Var, k: f32) -> Var {
         let v = self.value(a).map(|x| x * k);
         self.push(v, Op::Scale(a, k))
-    }
-
-    /// Logistic sigmoid (via [`crate::fastmath`], shared with the fused
-    /// LSTM cell so both paths agree bit for bit).
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        let ta = self.value(a);
-        let mut v = Tensor::zeros_pooled(ta.rows, ta.cols);
-        fastmath::fast_sigmoid_map(&ta.data, &mut v.data);
-        self.push(v, Op::Sigmoid(a))
-    }
-
-    /// Hyperbolic tangent (via [`crate::fastmath`], shared with the
-    /// fused LSTM cell so both paths agree bit for bit).
-    pub fn tanh(&mut self, a: Var) -> Var {
-        let ta = self.value(a);
-        let mut v = Tensor::zeros_pooled(ta.rows, ta.cols);
-        fastmath::fast_tanh_map(&ta.data, &mut v.data);
-        self.push(v, Op::Tanh(a))
     }
 
     pub fn relu(&mut self, a: Var) -> Var {
@@ -247,12 +214,6 @@ impl<'p> Graph<'p> {
                 .copy_from_slice(&ta.row_slice(r)[start..end]);
         }
         self.push(v, Op::SliceCols(a, start, end))
-    }
-
-    /// One row of the operand as a (1,n) vector (single-row gather).
-    pub fn select_row(&mut self, a: Var, row: usize) -> Var {
-        assert!(row < self.value(a).rows, "row out of range");
-        self.gather_rows(a, vec![row])
     }
 
     /// Gather rows: output row i is `a`'s row `idx[i]`. Duplicate
@@ -321,12 +282,6 @@ impl<'p> Graph<'p> {
         self.push(v, Op::EmbedLookup(table, tokens.to_vec()))
     }
 
-    /// 1-D convolution over one (seq, d) sequence; `seq ≥ width`.
-    pub fn conv1d(&mut self, input: Var, weight: Var, bias: Var, width: usize) -> Var {
-        let seq = self.value(input).rows;
-        self.conv1d_packed(input, weight, bias, width, vec![(0, seq)])
-    }
-
     /// 1-D convolution over per-example `segs` of a packed (Σseq, d)
     /// input → packed (Σ(seq−width+1), K) output, segments in order.
     ///
@@ -383,13 +338,6 @@ impl<'p> Graph<'p> {
                 segs,
             },
         )
-    }
-
-    /// Max over all rows: (m, K) → (1, K).
-    pub fn max_over_time(&mut self, a: Var) -> Var {
-        let rows = self.value(a).rows;
-        assert!(rows >= 1);
-        self.max_over_segs(a, vec![(0, rows)])
     }
 
     /// Per-segment max over rows of a packed tensor: (Σrows, K) with B
@@ -502,12 +450,6 @@ impl<'p> Graph<'p> {
         )
     }
 
-    /// Fused softmax + cross-entropy loss for a (1, C) logit row.
-    pub fn softmax_ce(&mut self, logits: Var, target: usize) -> Var {
-        assert_eq!(self.value(logits).rows, 1, "softmax_ce expects one row");
-        self.softmax_ce_rows(logits, vec![target])
-    }
-
     /// Row-wise fused softmax + cross-entropy: (B, C) logits with one
     /// class target per row → (B, 1) per-example losses. Reduce with
     /// [`Graph::sum_all`] before calling backward.
@@ -526,7 +468,7 @@ impl<'p> Graph<'p> {
     }
 
     /// Softmax probabilities of a (1, C) logit row (inference helper; not
-    /// differentiable — use [`Graph::softmax_ce`] for training).
+    /// differentiable — use [`Graph::softmax_ce_rows`] for training).
     pub fn softmax_probs(&self, logits: Var) -> Vec<f32> {
         softmax_row(self.value(logits).row_slice(0))
     }
@@ -637,48 +579,8 @@ impl<'p> Graph<'p> {
                     accumulate(&mut node_grads, *a, g.copy_pooled());
                     accumulate(&mut node_grads, *b, db);
                 }
-                Op::Mul(a, b) => {
-                    let ta = &self.nodes[a.0].value;
-                    let tb = &self.nodes[b.0].value;
-                    let da = Tensor::collect_pooled(
-                        g.rows,
-                        g.cols,
-                        g.data.iter().zip(&tb.data).map(|(x, y)| x * y),
-                    );
-                    let db = Tensor::collect_pooled(
-                        g.rows,
-                        g.cols,
-                        g.data.iter().zip(&ta.data).map(|(x, y)| x * y),
-                    );
-                    accumulate(&mut node_grads, *a, da);
-                    accumulate(&mut node_grads, *b, db);
-                }
                 Op::Scale(a, k) => {
                     accumulate(&mut node_grads, *a, g.map(|x| x * k));
-                }
-                Op::Sigmoid(a) => {
-                    let s = &self.nodes[i].value;
-                    let da = Tensor::collect_pooled(
-                        g.rows,
-                        g.cols,
-                        g.data
-                            .iter()
-                            .zip(&s.data)
-                            .map(|(gr, sv)| gr * sv * (1.0 - sv)),
-                    );
-                    accumulate(&mut node_grads, *a, da);
-                }
-                Op::Tanh(a) => {
-                    let t = &self.nodes[i].value;
-                    let da = Tensor::collect_pooled(
-                        g.rows,
-                        g.cols,
-                        g.data
-                            .iter()
-                            .zip(&t.data)
-                            .map(|(gr, tv)| gr * (1.0 - tv * tv)),
-                    );
-                    accumulate(&mut node_grads, *a, da);
                 }
                 Op::Relu(a) => {
                     let x = &self.nodes[a.0].value;
@@ -1028,7 +930,7 @@ mod tests {
         let mut grads = params.zero_grads();
         let mut g = Graph::new(&params);
         let l = g.param(w);
-        let loss = g.softmax_ce(l, 1);
+        let loss = g.softmax_ce_rows(l, vec![1]);
         g.backward(loss, 1.0, &mut grads);
         let p = softmax_row(&[1.0, 2.0, 0.5]);
         let d = &grads.get(w).data;
@@ -1060,8 +962,8 @@ mod tests {
         for (r, &y) in targets.iter().enumerate() {
             let mut gs = Graph::new(&params2);
             let l = gs.param(w);
-            let row = gs.select_row(l, r);
-            let loss = gs.softmax_ce(row, y);
+            let row = gs.gather_rows(l, vec![r]);
+            let loss = gs.softmax_ce_rows(row, vec![y]);
             solo_bits.push(gs.value(loss).item().to_bits());
         }
         assert_eq!(batched, solo_bits);
@@ -1142,10 +1044,9 @@ mod tests {
         let mut grads = params.zero_grads();
         let mut g = Graph::new(&params);
         let m = g.param(w);
-        let mx = g.max_over_time(m);
+        let mx = g.max_over_segs(m, vec![(0, 3)]);
         // Reduce to scalar via huber against 0 with big delta: d = value
-        let s0 = g.select_row(mx, 0);
-        let c0 = g.slice_cols(s0, 0, 1);
+        let c0 = g.slice_cols(mx, 0, 1);
         let loss = g.huber(c0, 0.0, 1e9);
         g.backward(loss, 1.0, &mut grads);
         // argmax of column 0 is row 1 (value 5.0); residual = 5.0
@@ -1205,7 +1106,7 @@ mod tests {
         let mut g = Graph::new(&params);
         let x = g.input(Tensor::zeros(2, 2)); // seq 2 < width 3
         let (wv, bv) = (g.param(w), g.param(b));
-        let _ = g.conv1d(x, wv, bv, 3);
+        let _ = g.conv1d_packed(x, wv, bv, 3, vec![(0, 2)]);
     }
 
     #[test]
@@ -1235,7 +1136,7 @@ mod tests {
             let mut gs = Graph::new(&params);
             let xv = gs.input(x.clone());
             let (wv, bv) = (gs.param(w), gs.param(b));
-            let conv = gs.conv1d(xv, wv, bv, 2);
+            let conv = gs.conv1d_packed(xv, wv, bv, 2, vec![(0, x.rows)]);
             solo_bits.extend(gs.value(conv).data.iter().map(|f| f.to_bits()));
         }
         assert_eq!(packed_bits, solo_bits);

@@ -3,7 +3,8 @@
 //! For a scalar loss L(θ), the analytic gradient from `Graph::backward`
 //! must match the central difference (L(θ+ε) − L(θ−ε)) / 2ε on every
 //! parameter coordinate. Each test builds a small network exercising one
-//! op (plus the plumbing ops), with randomized parameters via proptest.
+//! op (plus the plumbing ops), with randomized parameters via proptest;
+//! together they cover every backward arm of the tape.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -65,19 +66,19 @@ fn check_gradients(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Linear + sigmoid + Huber regression head.
+    /// Batched linear regression head: row-wise Huber, reduced by sum_all.
     #[test]
-    fn grad_linear_sigmoid_huber(seed in 0u64..1000, target in -2.0f32..2.0) {
+    fn grad_linear_huber_rows(seed in 0u64..1000, y0 in -2.0f32..2.0, y1 in -2.0f32..2.0) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut params = Params::new();
         let lin = Linear::new(&mut params, "fc", 3, 1, &mut rng);
-        let x = vec![0.5f32, -1.0, 2.0];
+        let x = vec![0.5f32, -1.0, 2.0, 1.5, 0.25, -0.75];
         let f = move |p: &Params| {
             let mut g = Graph::new(p);
-            let xin = g.input(Tensor::row(x.clone()));
-            let h = lin.forward(&mut g, xin);
-            let s = g.sigmoid(h);
-            let loss = g.huber(s, target, 1.0);
+            let xin = g.input(Tensor::from_vec(2, 3, x.clone()));
+            let y = lin.forward(&mut g, xin);
+            let losses = g.huber_rows(y, vec![y0, y1], 1.0);
+            let loss = g.sum_all(losses);
             let mut grads = p.zero_grads();
             let l = g.value(loss).item();
             g.backward(loss, 1.0, &mut grads);
@@ -86,22 +87,23 @@ proptest! {
         check_gradients(&mut params, &f)?;
     }
 
-    /// Two-layer tanh/relu MLP with softmax cross-entropy.
+    /// Two-layer ReLU MLP over a batch with row-wise softmax
+    /// cross-entropy.
     #[test]
     fn grad_mlp_softmax_ce(seed in 0u64..1000, target in 0usize..3) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut params = Params::new();
         let l1 = Linear::new(&mut params, "l1", 4, 5, &mut rng);
         let l2 = Linear::new(&mut params, "l2", 5, 3, &mut rng);
-        let x = vec![1.0f32, -0.5, 0.25, 2.0];
+        let x = vec![1.0f32, -0.5, 0.25, 2.0, -1.5, 0.75, 1.25, -0.25];
         let f = move |p: &Params| {
             let mut g = Graph::new(p);
-            let xin = g.input(Tensor::row(x.clone()));
+            let xin = g.input(Tensor::from_vec(2, 4, x.clone()));
             let h1 = l1.forward(&mut g, xin);
-            let a1 = g.tanh(h1);
-            let h2 = l2.forward(&mut g, a1);
-            let r = g.relu(h2);
-            let loss = g.softmax_ce(r, target);
+            let a1 = g.relu(h1);
+            let logits = l2.forward(&mut g, a1);
+            let losses = g.softmax_ce_rows(logits, vec![target, (target + 1) % 3]);
+            let loss = g.sum_all(losses);
             let mut grads = p.zero_grads();
             let l = g.value(loss).item();
             g.backward(loss, 1.0, &mut grads);
@@ -124,7 +126,7 @@ proptest! {
             let x = emb.forward(&mut g, &tokens);
             let feats = bank.forward(&mut g, x);
             let logits = head.forward(&mut g, feats);
-            let loss = g.softmax_ce(logits, target);
+            let loss = g.softmax_ce_rows(logits, vec![target]);
             let mut grads = p.zero_grads();
             let l = g.value(loss).item();
             g.backward(loss, 1.0, &mut grads);
@@ -133,8 +135,9 @@ proptest! {
         check_gradients(&mut params, &f)?;
     }
 
-    /// Embedding → 2-layer LSTM → Huber head: exercises matmul, add,
-    /// add_row, slice_cols, select_row, mul, tanh, sigmoid through time.
+    /// Embedding → 2-layer LSTM → Huber head: exercises the fused gate and
+    /// cell ops, gather_rows, select_rows_where and slice_cols through
+    /// time.
     #[test]
     fn grad_lstm_pipeline(seed in 0u64..1000, target in -1.0f32..1.0) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -180,22 +183,23 @@ proptest! {
         check_gradients(&mut params, &f)?;
     }
 
-    /// Elementwise mul and scale ops.
+    /// Elementwise add and scale ops over a batch.
     #[test]
-    fn grad_mul_scale(seed in 0u64..1000, k in -2.0f32..2.0) {
+    fn grad_add_scale(seed in 0u64..1000, k in -2.0f32..2.0) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut params = Params::new();
-        let a = params.add_xavier("a", 1, 4, &mut rng);
-        let b = params.add_xavier("b", 1, 4, &mut rng);
+        let a = params.add_xavier("a", 2, 4, &mut rng);
+        let b = params.add_xavier("b", 2, 4, &mut rng);
         let head = Linear::new(&mut params, "head", 4, 1, &mut rng);
         let f = move |p: &Params| {
             let mut g = Graph::new(p);
             let av = g.param(a);
             let bv = g.param(b);
-            let m = g.mul(av, bv);
+            let m = g.add(av, bv);
             let s = g.scale(m, k);
             let y = head.forward(&mut g, s);
-            let loss = g.huber(y, 0.5, 1.0);
+            let losses = g.huber_rows(y, vec![0.5, -0.5], 1.0);
+            let loss = g.sum_all(losses);
             let mut grads = p.zero_grads();
             let l = g.value(loss).item();
             g.backward(loss, 1.0, &mut grads);

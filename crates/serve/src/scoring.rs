@@ -98,8 +98,8 @@ impl std::error::Error for ScoreError {}
 /// Micro-batching and cache knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ScoringConfig {
-    /// Scoring worker threads. `0` scores inline on the caller thread
-    /// (no queue — useful for tests and single-tenant embedding).
+    /// Scoring worker threads; at least 1 ([`ScoringEngine::start`]
+    /// panics on 0, which would queue jobs no worker ever drains).
     pub workers: usize,
     /// Statements per scoring batch.
     pub max_batch: usize,
@@ -282,7 +282,12 @@ pub struct ScoringEngine {
 
 impl ScoringEngine {
     /// Build the engine and spawn its scoring workers.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.workers` is 0.
     pub fn start(registry: Arc<ModelRegistry>, cfg: ScoringConfig) -> Arc<ScoringEngine> {
+        assert!(cfg.workers > 0, "ScoringConfig::workers must be at least 1");
         let engine = Arc::new(ScoringEngine {
             registry,
             cache: PredictionCache::new(cfg.cache_capacity, CACHE_SHARDS),
@@ -356,26 +361,6 @@ impl ScoringEngine {
         self.score_opts(problem, statements, ScoreOptions::default())
     }
 
-    /// [`ScoringEngine::score`] carrying the request trace minted at the
-    /// HTTP edge: jobs pin it across the queue so spans recorded on a
-    /// scoring worker (`queue_wait`, `batch_score`, `featurize`) attach
-    /// to the originating request.
-    pub fn score_traced(
-        &self,
-        problem: Problem,
-        statements: &[String],
-        trace: Option<&Arc<TraceCtx>>,
-    ) -> Result<ScoredBatch, ScoreError> {
-        self.score_opts(
-            problem,
-            statements,
-            ScoreOptions {
-                trace,
-                deadline: None,
-            },
-        )
-    }
-
     /// The full scoring entry point: cache → queue → workers, honoring a
     /// per-request deadline and the degradation ladder.
     pub fn score_opts(
@@ -427,100 +412,74 @@ impl ScoringEngine {
 
         let mut degraded = false;
         if !misses.is_empty() {
-            if self.cfg.workers == 0 {
-                // Inline path: one batch call on the caller thread.
-                let stmts: Vec<String> = misses.iter().map(|&i| normalized[i].clone()).collect();
-                match catch_unwind(AssertUnwindSafe(|| {
-                    self.score_batch_now(&live, problem, &stmts)
-                })) {
-                    Ok(preds) => {
-                        for (&i, p) in misses.iter().zip(preds) {
-                            out[i] = Some(p);
-                        }
+            let (tx, rx) = mpsc::channel();
+            let enqueued = {
+                let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
+                // Re-checked under the queue lock: `shutdown()` joins
+                // workers after setting the flag, so a store observed
+                // here means no worker will ever drain jobs we would
+                // push — without this check a racing caller could
+                // enqueue past a completed shutdown and block on
+                // `recv` forever.
+                if self.shutdown.load(Ordering::Acquire) {
+                    return Err(ScoreError::ShuttingDown);
+                }
+                if q.jobs.len() + misses.len() > self.cfg.queue_capacity {
+                    if !self.cfg.degrade {
+                        return Err(ScoreError::Saturated);
                     }
-                    Err(_) => {
-                        self.resilience
-                            .worker_panics
-                            .fetch_add(1, Ordering::Relaxed);
-                        if !self.cfg.degrade {
-                            return Err(ScoreError::WorkerPanicked);
-                        }
-                        degraded = true;
-                        for &i in &misses {
-                            out[i] = Some(heuristic_predict(problem, &normalized[i]));
-                        }
+                    false
+                } else {
+                    let admitted = Instant::now();
+                    for &i in &misses {
+                        q.jobs.push_back(Job {
+                            problem,
+                            normalized: normalized[i].clone(),
+                            live: Arc::clone(&live),
+                            index: i,
+                            reply: tx.clone(),
+                            deadline: opts.deadline,
+                            trace: trace.map(Arc::clone),
+                            admitted,
+                        });
+                    }
+                    true
+                }
+            };
+            if enqueued {
+                self.work_ready.notify_all();
+                drop(tx);
+                let mut expired = false;
+                let mut panicked: Vec<usize> = Vec::new();
+                for _ in 0..misses.len() {
+                    let (i, r) = rx.recv().map_err(|_| ScoreError::ShuttingDown)?;
+                    match r {
+                        Ok(p) => out[i] = Some(p),
+                        Err(JobFail::Expired) => expired = true,
+                        Err(JobFail::Panicked) => panicked.push(i),
+                    }
+                }
+                if expired {
+                    self.resilience
+                        .deadline_expired
+                        .fetch_add(1, Ordering::Relaxed);
+                    return Err(ScoreError::DeadlineExceeded);
+                }
+                if !panicked.is_empty() {
+                    if !self.cfg.degrade {
+                        return Err(ScoreError::WorkerPanicked);
+                    }
+                    degraded = true;
+                    for i in panicked {
+                        out[i] = Some(heuristic_predict(problem, &normalized[i]));
                     }
                 }
             } else {
-                let (tx, rx) = mpsc::channel();
-                let enqueued = {
-                    let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-                    // Re-checked under the queue lock: `shutdown()` joins
-                    // workers after setting the flag, so a store observed
-                    // here means no worker will ever drain jobs we would
-                    // push — without this check a racing caller could
-                    // enqueue past a completed shutdown and block on
-                    // `recv` forever.
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return Err(ScoreError::ShuttingDown);
-                    }
-                    if q.jobs.len() + misses.len() > self.cfg.queue_capacity {
-                        if !self.cfg.degrade {
-                            return Err(ScoreError::Saturated);
-                        }
-                        false
-                    } else {
-                        let admitted = Instant::now();
-                        for &i in &misses {
-                            q.jobs.push_back(Job {
-                                problem,
-                                normalized: normalized[i].clone(),
-                                live: Arc::clone(&live),
-                                index: i,
-                                reply: tx.clone(),
-                                deadline: opts.deadline,
-                                trace: trace.map(Arc::clone),
-                                admitted,
-                            });
-                        }
-                        true
-                    }
-                };
-                if enqueued {
-                    self.work_ready.notify_all();
-                    drop(tx);
-                    let mut expired = false;
-                    let mut panicked: Vec<usize> = Vec::new();
-                    for _ in 0..misses.len() {
-                        let (i, r) = rx.recv().map_err(|_| ScoreError::ShuttingDown)?;
-                        match r {
-                            Ok(p) => out[i] = Some(p),
-                            Err(JobFail::Expired) => expired = true,
-                            Err(JobFail::Panicked) => panicked.push(i),
-                        }
-                    }
-                    if expired {
-                        self.resilience
-                            .deadline_expired
-                            .fetch_add(1, Ordering::Relaxed);
-                        return Err(ScoreError::DeadlineExceeded);
-                    }
-                    if !panicked.is_empty() {
-                        if !self.cfg.degrade {
-                            return Err(ScoreError::WorkerPanicked);
-                        }
-                        degraded = true;
-                        for i in panicked {
-                            out[i] = Some(heuristic_predict(problem, &normalized[i]));
-                        }
-                    }
-                } else {
-                    // Saturated with degradation on: answer every miss
-                    // from the heuristic instead of shedding.
-                    degraded = true;
-                    for &i in &misses {
-                        out[i] = Some(heuristic_predict(problem, &normalized[i]));
-                    }
+                // Saturated with degradation on: answer every miss
+                // from the heuristic instead of shedding.
+                degraded = true;
+                for &i in &misses {
+                    out[i] = Some(heuristic_predict(problem, &normalized[i]));
                 }
             }
         }
@@ -836,6 +795,40 @@ pub fn heuristic_predict(problem: Problem, normalized: &str) -> Prediction {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "ScoringConfig::workers must be at least 1")]
+    fn zero_workers_fail_fast_at_start() {
+        use sqlan_core::{train_model, Labels, ModelKind, Task, TrainConfig, TrainData};
+        let xs: Vec<String> = (0..4).map(|i| format!("SELECT {i} FROM t")).collect();
+        let cls = [0usize, 1, 0, 1];
+        let model = train_model(
+            ModelKind::MFreq,
+            Task::Classify(2),
+            &TrainData {
+                statements: &xs[..2],
+                labels: Labels::Classes(&cls[..2]),
+                valid_statements: &xs[2..],
+                valid_labels: Labels::Classes(&cls[2..]),
+            },
+            &TrainConfig::tiny(),
+            None,
+        );
+        let dir = std::env::temp_dir().join(format!("sqlan-zero-workers-{}", std::process::id()));
+        crate::save_bundle(&dir, "zero", 1, &[(Problem::ErrorClassification, &model)])
+            .expect("save");
+        let registry = Arc::new(ModelRegistry::open(&dir).expect("open"));
+        let _ = std::fs::remove_dir_all(&dir);
+        // No engine exists to take jobs: start refuses before any worker
+        // or queue is built.
+        ScoringEngine::start(
+            registry,
+            ScoringConfig {
+                workers: 0,
+                ..ScoringConfig::default()
+            },
+        );
+    }
 
     #[test]
     fn drr_first_round_is_fifo() {

@@ -1,8 +1,11 @@
-//! EXPLAIN: print the optimized plan of a few SDSS-style queries at each
-//! optimization level, then EXPLAIN ANALYZE them — executing each plan
-//! and annotating it with per-operator observed row counts and cost-unit
-//! charges (on the default columnar engine), and with how many failed
-//! operators were settled on their row-engine twins.
+//! EXPLAIN: print the plan of a few SDSS-style queries at both
+//! optimization levels — the naive lowered plan (`None`) and the plan
+//! labels are computed from (`Default`: predicate pushdown, then equi-join
+//! detection) — then EXPLAIN ANALYZE them: execute each plan and annotate
+//! it with per-operator observed row counts and cost-unit charges (on the
+//! default columnar engine; an operator that fails is listed with what it
+//! charged, marked `(failed)`), and with how many failed operators were
+//! settled on their row-engine twins.
 //!
 //! ```sh
 //! cargo run --release --example explain
@@ -39,8 +42,9 @@ fn main() {
              WHERE d.r > (SELECT avg(ra) FROM PhotoObj)"
                 .to_string(),
             // The erroring shape common in SDSS logs: a correlated EXISTS
-            // filter, then an unknown column. The projection fails and is
-            // settled on its row twin (`-- row twins: 1`).
+            // filter, then an unknown column. The projection fails, is
+            // settled on its row twin (`-- row twins: 1`) and is listed
+            // with the units it charged before aborting.
             "SELECT p.objid, p.nocolumn FROM PhotoObj p WHERE EXISTS \
              (SELECT 1 FROM SpecObj s WHERE s.bestobjid = p.objid)"
                 .to_string(),
@@ -51,7 +55,7 @@ fn main() {
 
     for sql in &queries {
         println!("=== {sql}\n");
-        for level in [OptLevel::None, OptLevel::Default, OptLevel::Aggressive] {
+        for level in [OptLevel::None, OptLevel::Default] {
             let leveled = db.clone().with_opt_level(level);
             println!("--- {level:?}");
             match leveled.explain(sql) {
