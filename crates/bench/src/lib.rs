@@ -125,10 +125,6 @@ impl Harness {
         build_sqlshare(self.sqlshare_config())
     }
 
-    pub fn sdss_db(&self) -> Database {
-        sdss_database(self.sdss_config())
-    }
-
     pub fn sqlshare_db(&self) -> Database {
         sqlshare_database(self.sqlshare_config())
     }

@@ -2,8 +2,8 @@
 //!
 //! Defaults are scaled for a single-core laptop run of the full experiment
 //! harness (the paper trained on GPUs with embedding 100 / hidden 150–300;
-//! we default to embedding 24 / hidden 32 — EXPERIMENTS.md records the
-//! exact configuration behind every reported number).
+//! we default to embedding 24 / hidden 32, so every number the harness
+//! reports comes from models much smaller than the paper's).
 
 use serde::{Deserialize, Serialize};
 

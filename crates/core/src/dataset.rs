@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use sqlan_workload::{Workload, WorkloadEntry};
+use sqlan_workload::Workload;
 
 use crate::problem::Problem;
 
@@ -100,15 +100,6 @@ impl Dataset {
 
     pub fn is_empty(&self) -> bool {
         self.statements.is_empty()
-    }
-
-    /// Entry accessor for filtered index sets (splits).
-    pub fn entry_matches<'a>(
-        &self,
-        workload: &'a Workload,
-        idx: usize,
-    ) -> Option<&'a WorkloadEntry> {
-        workload.entries.get(idx)
     }
 }
 

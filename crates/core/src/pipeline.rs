@@ -36,7 +36,8 @@ pub struct Experiment {
     pub runs: Vec<ModelRun>,
 }
 
-/// Serializable summary row (EXPERIMENTS.md artifacts).
+/// Serializable summary row: one model's test metrics, as the harness
+/// binaries write them under `results/`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SummaryRow {
     pub model: String,
@@ -64,15 +65,6 @@ impl Experiment {
                 accuracy: r.classification.as_ref().map(|c| c.accuracy),
                 mse: r.regression.as_ref().map(|g| g.mse),
             })
-            .collect()
-    }
-
-    /// Test-set statement texts, in evaluation order.
-    pub fn test_statements(&self) -> Vec<&str> {
-        self.split
-            .test
-            .iter()
-            .map(|&i| self.dataset.statements[i].as_str())
             .collect()
     }
 }

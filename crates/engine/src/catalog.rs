@@ -81,13 +81,6 @@ impl Table {
     pub fn row_count(&self) -> usize {
         self.data.first().map(|c| c.len()).unwrap_or(0)
     }
-
-    /// Index of a column by case-insensitive name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns
-            .iter()
-            .position(|c| c.name.eq_ignore_ascii_case(name))
-    }
 }
 
 /// How to generate values for one column.

@@ -220,10 +220,6 @@ fn estimate_node(node: &LogicalPlan, catalog: &Catalog) -> (f64, f64) {
             let est = estimate_plan(plan, catalog);
             (est.est_rows, est.total_cost)
         }
-        LogicalPlan::Filter { input, predicate } => {
-            let (card, cost) = estimate_node(input, catalog);
-            (card * predicate_selectivity(predicate), cost + card)
-        }
         LogicalPlan::Join {
             left,
             right,

@@ -2,7 +2,7 @@
 //!
 //! [`eval`] is the row engine's evaluator: one expression against one row,
 //! with correlated-subquery support and uncorrelated-subquery caching.
-//! [`eval_batch`] is the columnar engine's evaluator: the same expression
+//! `eval_batch` is the columnar engine's evaluator: the same expression
 //! against a whole [`ColumnBatch`] at once, producing a typed [`Column`].
 //! The two must charge the *same total* [`crate::CostCounter`] on every
 //! successful evaluation — per-row short-circuiting (AND/OR, CASE

@@ -9,8 +9,10 @@
 //! error class, answer size, and CPU time. We cannot obtain the original
 //! SDSS/SQLShare databases, so this engine executes synthesized queries
 //! over synthesized catalogs and produces those labels from first
-//! principles — structure in, labels out — preserving the learning
-//! problem's causal shape (see DESIGN.md §2).
+//! principles — structure in, labels out. That preserves the learning
+//! problem's causal shape: as in the paper's logs, each label follows
+//! from the statement and the database it ran against, and the models
+//! see only the statement.
 //!
 //! ```
 //! use sqlan_engine::{Catalog, ColumnSpec, Database, ErrorClass, TableSpec};

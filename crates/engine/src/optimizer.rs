@@ -60,7 +60,6 @@ fn optimize_node(node: &mut LogicalPlan, catalog: &Catalog) {
     match node {
         LogicalPlan::Scan { .. } => {}
         LogicalPlan::Subquery { plan, .. } => optimize(plan, catalog),
-        LogicalPlan::Filter { input, .. } => optimize_node(input, catalog),
         LogicalPlan::Join { left, right, .. } => {
             optimize_node(left, catalog);
             optimize_node(right, catalog);
@@ -270,7 +269,6 @@ fn equi_join_detection(plan: &mut QueryPlan, catalog: &Catalog) {
 fn annotate_join_strategies(node: &mut LogicalPlan, catalog: &Catalog) {
     match node {
         LogicalPlan::Scan { .. } | LogicalPlan::Subquery { .. } => {}
-        LogicalPlan::Filter { input, .. } => annotate_join_strategies(input, catalog),
         LogicalPlan::Join {
             left,
             right,

@@ -44,7 +44,6 @@ fn item_label(node: &LogicalPlan) -> String {
             Some(a) => format!("Subquery AS {a}"),
             None => "Subquery".into(),
         },
-        LogicalPlan::Filter { input, .. } => format!("Filter over {}", item_label(input)),
         LogicalPlan::Join { kind, strategy, .. } => {
             let head = match strategy {
                 JoinStrategy::Hash { .. } => "HashJoin",
@@ -207,10 +206,6 @@ impl ExecCtx<'_> {
                     c.table = None;
                 }
                 Ok(rel)
-            }
-            LogicalPlan::Filter { input, predicate } => {
-                let rel = self.exec_node(input, outer, used_outer)?;
-                self.filter(rel, predicate, outer, used_outer)
             }
             LogicalPlan::Join {
                 left,
@@ -1036,14 +1031,6 @@ impl ExecCtx<'_> {
                     c.table = None;
                 }
                 Ok(rel)
-            }
-            LogicalPlan::Filter { input, predicate } => {
-                let rel = self.exec_node_batch(input, outer, used_outer)?;
-                self.settle(
-                    used_outer,
-                    |ctx, uo| ctx.filter_batch(&rel, predicate, outer, uo),
-                    |ctx, uo| ctx.filter(rel.to_relation(), predicate, outer, uo),
-                )
             }
             LogicalPlan::Join {
                 left,
@@ -1878,62 +1865,4 @@ fn gather_padded(src: &Column, idx: &[Option<usize>]) -> Column {
         });
     }
     b.finish()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::catalog::{Catalog, ColumnSpec, TableSpec};
-    use crate::exec::{ExecCtx, ExecLimits};
-    use crate::functions::FnRegistry;
-    use crate::plan::lower;
-    use sqlan_sql::Statement;
-
-    fn catalog() -> Catalog {
-        Catalog::generate(
-            &[TableSpec::new("t", 100)
-                .column("id", ColumnSpec::SeqId)
-                .column("x", ColumnSpec::IntUniform(0, 9))],
-            5,
-        )
-    }
-
-    /// `Filter` nodes inside an item tree execute like residual filters:
-    /// same rows, same cost charges. (No current pass emits them — they
-    /// are the tree form future pushdown-below-join passes produce — but
-    /// the executor must already run them correctly.)
-    #[test]
-    fn filter_node_in_item_tree_matches_residual_filter() {
-        let cat = catalog();
-        let fns = FnRegistry::standard();
-        let script = sqlan_sql::parse_script("SELECT id FROM t WHERE x > 4").unwrap();
-        let q = match &script.statements[0] {
-            Statement::Select(q) => q.clone(),
-            _ => unreachable!(),
-        };
-
-        // Naive plan: the predicate sits in `residual`.
-        let residual_plan = lower(&q);
-        let mut ctx = ExecCtx::new(&cat, &fns, ExecLimits::default());
-        let (want, _) = ctx.exec_plan(&residual_plan, &[]).unwrap();
-        let want_counter = ctx.counter;
-
-        // Tree plan: the same predicate as a Filter node over the scan.
-        let mut tree_plan = lower(&q);
-        let pred = tree_plan.residual.remove(0);
-        let scan = tree_plan.items.remove(0);
-        tree_plan.items.insert(
-            0,
-            LogicalPlan::Filter {
-                input: Box::new(scan),
-                predicate: pred,
-            },
-        );
-        let mut ctx2 = ExecCtx::new(&cat, &fns, ExecLimits::default());
-        let (got, _) = ctx2.exec_plan(&tree_plan, &[]).unwrap();
-
-        assert_eq!(want.rows, got.rows);
-        assert_eq!(want_counter, ctx2.counter);
-        assert!(!got.rows.is_empty());
-    }
 }

@@ -37,11 +37,6 @@ pub enum LogicalPlan {
         plan: Box<QueryPlan>,
         alias: Option<String>,
     },
-    /// Filter rows of `input` by `predicate`.
-    Filter {
-        input: Box<LogicalPlan>,
-        predicate: Expr,
-    },
     /// An explicit `JOIN`. `strategy` is chosen by the equi-join
     /// detection pass; the naive plan always uses [`JoinStrategy::NestedLoop`].
     Join {
@@ -251,7 +246,6 @@ pub fn node_schema(node: &LogicalPlan, catalog: &Catalog) -> Vec<ColRef> {
                 })
                 .collect()
         }
-        LogicalPlan::Filter { input, .. } => node_schema(input, catalog),
         LogicalPlan::Join { left, right, .. } => {
             let mut cols = node_schema(left, catalog);
             cols.extend(node_schema(right, catalog));
@@ -504,10 +498,6 @@ fn render_node(node: &LogicalPlan, depth: usize, lines: &mut Vec<(usize, String)
                 ),
             ));
             plan.render_into(depth + 1, lines);
-        }
-        LogicalPlan::Filter { input, predicate } => {
-            lines.push((depth, format!("Filter ({predicate})")));
-            render_node(input, depth + 1, lines);
         }
         LogicalPlan::Join {
             left,

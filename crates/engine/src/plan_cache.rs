@@ -2,7 +2,8 @@
 //!
 //! A statement's *template* is what remains after every literal is lifted
 //! out: `SELECT x FROM Obj WHERE id = 7` and `SELECT x FROM Obj WHERE
-//! id = 42` share one template.  [`sqlan_sql::fingerprint`] maps a raw
+//! id = 42` share one template.
+//! [`sqlan_sql::fingerprint`](fn@sqlan_sql::fingerprint) maps a raw
 //! statement to a 128-bit template fingerprint plus the ordered vector of
 //! lifted literals; this module caches the parsed [`Script`] and the
 //! optimized [`QueryPlan`] skeletons per fingerprint so repeated template
@@ -316,10 +317,6 @@ fn rebind_node(node: &mut LogicalPlan, literals: &[Literal]) {
     match node {
         LogicalPlan::Scan { .. } => {}
         LogicalPlan::Subquery { plan, .. } => rebind_plan(plan, literals),
-        LogicalPlan::Filter { input, predicate } => {
-            rebind_node(input, literals);
-            rebind_expr(predicate, literals);
-        }
         LogicalPlan::Join {
             left,
             right,

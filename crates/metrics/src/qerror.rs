@@ -26,7 +26,7 @@ pub fn qerror_with_shift(truth: f64, estimate: f64, shift: f64) -> f64 {
 /// such that that fraction of queries has qerror ≤ q.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QErrorTable {
-    /// (percentile in [0,100], qerror value) pairs.
+    /// (percentile in `[0, 100]`, qerror value) pairs.
     pub rows: Vec<(f64, f64)>,
 }
 

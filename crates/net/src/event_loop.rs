@@ -12,7 +12,7 @@
 //! * **Reading** (`EPOLLIN`) while parsing a request. Bytes feed the
 //!   sans-io [`HttpParser`], whose head bound is enforced *during*
 //!   buffering — a slow-loris connection costs at most
-//!   [`MAX_HEAD_BYTES`] plus one read chunk.
+//!   [`MAX_HEAD_BYTES`](crate::MAX_HEAD_BYTES) plus one read chunk.
 //! * **Nothing** while a request is in flight with a handler thread.
 //!   Deregistering read interest is the edge-level backpressure: a
 //!   client that pipelines requests faster than handlers answer them

@@ -144,13 +144,6 @@ impl HttpParser {
         }
     }
 
-    /// True when the parser sits at a clean request boundary with nothing
-    /// buffered — an EOF here is a normal connection close, an EOF
-    /// anywhere else is mid-request.
-    pub fn is_idle(&self) -> bool {
-        matches!(self.state, State::Head) && self.buf.is_empty()
-    }
-
     /// Bytes currently buffered (head remainder + partial body). The
     /// head-state component is bounded by [`MAX_HEAD_BYTES`]; the body
     /// component by `max_body` (already rejected if over).
@@ -544,7 +537,9 @@ mod tests {
         let r = got.expect("completed");
         assert_eq!(r.path, "/p");
         assert_eq!(r.body, b"xyz");
-        assert!(p.is_idle());
+        // Back at a clean request boundary with nothing buffered.
+        assert!(matches!(p.state, State::Head));
+        assert_eq!(p.buffered(), 0);
     }
 
     #[test]
@@ -670,7 +665,9 @@ mod tests {
         };
         assert_eq!(b.path, "/b");
         assert_eq!(b.body, b"hi");
-        assert!(p.is_idle());
+        // Back at a clean request boundary with nothing buffered.
+        assert!(matches!(p.state, State::Head));
+        assert_eq!(p.buffered(), 0);
     }
 
     #[test]

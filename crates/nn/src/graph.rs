@@ -20,7 +20,7 @@
 //! exact same per-row accumulation order, batching only along rows.
 //!
 //! **Allocation.** Node values and backward temporaries draw from the
-//! thread-local [buffer arena](crate::arena) and are recycled when the
+//! thread-local buffer arena (`arena.rs`) and are recycled when the
 //! graph drops (or, for backward temporaries, as soon as they are
 //! consumed), so a steady-state training step allocates O(1) fresh
 //! buffers. Dropping a graph also records its node count as the capacity
@@ -48,10 +48,8 @@ enum Op {
     /// Parameter leaf; gradient flows into `Grads`.
     Param(ParamId),
     Matmul(Var, Var),
-    Add(Var, Var),
     /// (m,n) + broadcast (1,n).
     AddRow(Var, Var),
-    Scale(Var, f32),
     Relu(Var),
     /// Columns [start, end) of the operand.
     SliceCols(Var, usize, usize),
@@ -173,14 +171,6 @@ impl<'p> Graph<'p> {
         self.push(v, Op::Matmul(a, b))
     }
 
-    pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let (ta, tb) = (self.value(a), self.value(b));
-        assert_eq!(ta.shape(), tb.shape(), "add shape mismatch");
-        let mut v = ta.copy_pooled();
-        v.add_assign(tb);
-        self.push(v, Op::Add(a, b))
-    }
-
     /// `a + b` where `b` is a (1, n) row broadcast over a's rows.
     pub fn add_row(&mut self, a: Var, b: Var) -> Var {
         let (ta, tb) = (self.value(a), self.value(b));
@@ -193,11 +183,6 @@ impl<'p> Graph<'p> {
             }
         }
         self.push(v, Op::AddRow(a, b))
-    }
-
-    pub fn scale(&mut self, a: Var, k: f32) -> Var {
-        let v = self.value(a).map(|x| x * k);
-        self.push(v, Op::Scale(a, k))
     }
 
     pub fn relu(&mut self, a: Var) -> Var {
@@ -488,12 +473,6 @@ impl<'p> Graph<'p> {
         v
     }
 
-    /// Huber loss of a (1,1) prediction against a scalar target.
-    pub fn huber(&mut self, pred: Var, target: f32, delta: f32) -> Var {
-        assert_eq!(self.value(pred).len(), 1, "huber expects a scalar");
-        self.huber_rows(pred, vec![target], delta)
-    }
-
     /// Row-wise Huber loss: (B, 1) predictions with one target per row →
     /// (B, 1) per-example losses.
     pub fn huber_rows(&mut self, pred: Var, targets: Vec<f32>, delta: f32) -> Var {
@@ -565,10 +544,6 @@ impl<'p> Graph<'p> {
                     accumulate(&mut node_grads, *a, da);
                     accumulate(&mut node_grads, *b, db);
                 }
-                Op::Add(a, b) => {
-                    accumulate(&mut node_grads, *a, g.copy_pooled());
-                    accumulate(&mut node_grads, *b, g.copy_pooled());
-                }
                 Op::AddRow(a, b) => {
                     let mut db = Tensor::zeros_pooled(1, g.cols);
                     for r in 0..g.rows {
@@ -578,9 +553,6 @@ impl<'p> Graph<'p> {
                     }
                     accumulate(&mut node_grads, *a, g.copy_pooled());
                     accumulate(&mut node_grads, *b, db);
-                }
-                Op::Scale(a, k) => {
-                    accumulate(&mut node_grads, *a, g.map(|x| x * k));
                 }
                 Op::Relu(a) => {
                     let x = &self.nodes[a.0].value;
@@ -916,7 +888,7 @@ mod tests {
         let x = g.input(Tensor::row(vec![1.0, 2.0]));
         let wv = g.param(w);
         let y = g.matmul(x, wv); // 0.3 - 0.4 = -0.1
-        let loss = g.huber(y, 0.0, 1.0);
+        let loss = g.huber_rows(y, vec![0.0], 1.0);
         g.backward(loss, 1.0, &mut grads);
         let r = -0.1f32;
         assert!((grads.get(w).data[0] - r * 1.0).abs() < 1e-6);
@@ -1000,7 +972,7 @@ mod tests {
         let ones = g.input(Tensor::from_vec(2, 1, vec![1.0, 1.0]));
         let summed = g.matmul(picked, ones); // (3,1)
         let lsum = g.sum_all(summed);
-        let loss = g.huber(lsum, 0.0, 1e9);
+        let loss = g.huber_rows(lsum, vec![0.0], 1e9);
         g.backward(loss, 1.0, &mut grads);
         let d = &grads.get(w).data;
         let total: f32 = g.value(lsum).item();
@@ -1023,7 +995,7 @@ mod tests {
         let ones = g.input(Tensor::from_vec(2, 1, vec![1.0, 1.0]));
         let summed = g.matmul(sel, ones);
         let total = g.sum_all(summed);
-        let loss = g.huber(total, 0.0, 1e9);
+        let loss = g.huber_rows(total, vec![0.0], 1e9);
         g.backward(loss, 1.0, &mut grads);
         let don = &grads.get(on).data;
         let doff = &grads.get(off).data;
@@ -1047,7 +1019,7 @@ mod tests {
         let mx = g.max_over_segs(m, vec![(0, 3)]);
         // Reduce to scalar via huber against 0 with big delta: d = value
         let c0 = g.slice_cols(mx, 0, 1);
-        let loss = g.huber(c0, 0.0, 1e9);
+        let loss = g.huber_rows(c0, vec![0.0], 1e9);
         g.backward(loss, 1.0, &mut grads);
         // argmax of column 0 is row 1 (value 5.0); residual = 5.0
         let d = &grads.get(w).data;
@@ -1068,7 +1040,7 @@ mod tests {
         let summed = g.matmul(e, ones); // (3,1)
         let ones2 = g.input(Tensor::from_vec(1, 3, vec![1.0, 1.0, 1.0]));
         let total = g.matmul(ones2, summed); // (1,1)
-        let loss = g.huber(total, -1.0, 1e9);
+        let loss = g.huber_rows(total, vec![-1.0], 1e9);
         g.backward(loss, 1.0, &mut grads);
         let d = &grads.get(table).data;
         // Row 1 used twice, row 2 once, row 0 never. Residual = 1.

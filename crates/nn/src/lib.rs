@@ -33,7 +33,7 @@
 //! let mut grads = params.zero_grads();
 //! let mut g = Graph::new(&params);
 //! let wv = g.param(w);
-//! let loss = g.huber(wv, 1.0, 1.0); // residual 2 > delta → linear region
+//! let loss = g.huber_rows(wv, vec![1.0], 1.0); // residual 2 > delta → linear region
 //! g.backward(loss, 1.0, &mut grads);
 //! assert_eq!(grads.get(w).item(), 1.0);
 //! ```

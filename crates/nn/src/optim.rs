@@ -207,7 +207,7 @@ mod tests {
             let mut grads = params.zero_grads();
             let mut g = Graph::new(&params);
             let wv = g.param(w);
-            let loss = g.huber(wv, 2.0, 1.0);
+            let loss = g.huber_rows(wv, vec![2.0], 1.0);
             g.backward(loss, 1.0, &mut grads);
             // Graph implements Drop (arena recycling), so its borrow of
             // `params` must end before the mutable optimizer step.

@@ -6,12 +6,10 @@
 //! shape rules out a whole class of broadcasting bugs and keeps the
 //! autograd tape simple.
 //!
-//! Hot-path storage comes from the thread-local [buffer arena]: the
-//! `*_pooled` constructors pop recycled buffers and [`Tensor::recycle`]
-//! files them back, so steady-state training/inference steps allocate
-//! O(1) fresh buffers.
-//!
-//! [buffer arena]: crate::arena
+//! Hot-path storage comes from the thread-local buffer arena
+//! (`arena.rs`): the `*_pooled` constructors pop recycled buffers and
+//! [`Tensor::recycle`] files them back, so steady-state
+//! training/inference steps allocate O(1) fresh buffers.
 
 use serde::{Deserialize, Serialize};
 

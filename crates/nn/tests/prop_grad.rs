@@ -151,7 +151,7 @@ proptest! {
             let x = emb.forward(&mut g, &tokens);
             let h = lstm.forward(&mut g, x);
             let y = head.forward(&mut g, h);
-            let loss = g.huber(y, target, 1.0);
+            let loss = g.huber_rows(y, vec![target], 1.0);
             let mut grads = p.zero_grads();
             let l = g.value(loss).item();
             g.backward(loss, 1.0, &mut grads);
@@ -174,32 +174,7 @@ proptest! {
             let h = lin.forward(&mut g, xin);
             let d = g.dropout(h, mask.clone(), 0.75);
             let y = head.forward(&mut g, d);
-            let loss = g.huber(y, 0.3, 1.0);
-            let mut grads = p.zero_grads();
-            let l = g.value(loss).item();
-            g.backward(loss, 1.0, &mut grads);
-            (l, grads)
-        };
-        check_gradients(&mut params, &f)?;
-    }
-
-    /// Elementwise add and scale ops over a batch.
-    #[test]
-    fn grad_add_scale(seed in 0u64..1000, k in -2.0f32..2.0) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut params = Params::new();
-        let a = params.add_xavier("a", 2, 4, &mut rng);
-        let b = params.add_xavier("b", 2, 4, &mut rng);
-        let head = Linear::new(&mut params, "head", 4, 1, &mut rng);
-        let f = move |p: &Params| {
-            let mut g = Graph::new(p);
-            let av = g.param(a);
-            let bv = g.param(b);
-            let m = g.add(av, bv);
-            let s = g.scale(m, k);
-            let y = head.forward(&mut g, s);
-            let losses = g.huber_rows(y, vec![0.5, -0.5], 1.0);
-            let loss = g.sum_all(losses);
+            let loss = g.huber_rows(y, vec![0.3], 1.0);
             let mut grads = p.zero_grads();
             let l = g.value(loss).item();
             g.backward(loss, 1.0, &mut grads);

@@ -63,8 +63,6 @@ pub struct ServeMetrics {
     generation: Arc<Gauge>,
     uptime: Arc<Gauge>,
     // Resilience mirrors (engine / registry owned, synced at scrape).
-    degraded_responses: Arc<Counter>,
-    degraded_statements: Arc<Counter>,
     deadline_expired: Arc<Counter>,
     worker_panics: Arc<Counter>,
     worker_respawns: Arc<Counter>,
@@ -128,14 +126,6 @@ impl Default for ServeMetrics {
             registry.gauge("sqlan_prediction_cache_entries", "resident cache entries");
         let generation = registry.gauge("sqlan_bundle_generation", "live bundle generation");
         let uptime = registry.gauge("sqlan_uptime_seconds", "seconds since server start");
-        let degraded_responses = registry.counter(
-            "sqlan_degraded_responses_total",
-            "responses served from the degradation ladder (synced at scrape)",
-        );
-        let degraded_statements = registry.counter(
-            "sqlan_degraded_statements_total",
-            "statements inside degraded responses (synced at scrape)",
-        );
         let deadline_expired = registry.counter(
             "sqlan_deadline_expired_total",
             "requests shed 504 because their deadline passed (synced at scrape)",
@@ -175,8 +165,6 @@ impl Default for ServeMetrics {
             cache_entries,
             generation,
             uptime,
-            degraded_responses,
-            degraded_statements,
             deadline_expired,
             worker_panics,
             worker_respawns,
@@ -261,10 +249,6 @@ impl ServeMetrics {
         breaker_open: bool,
     ) {
         use std::sync::atomic::Ordering::Relaxed;
-        self.degraded_responses
-            .store(stats.degraded_responses.load(Relaxed));
-        self.degraded_statements
-            .store(stats.degraded_statements.load(Relaxed));
         self.deadline_expired
             .store(stats.deadline_expired.load(Relaxed));
         self.worker_panics.store(stats.worker_panics.load(Relaxed));
@@ -367,10 +351,6 @@ pub struct MetricsSnapshot {
     pub mean_batch: f64,
     pub max_batch: u64,
     pub queue_depth: u64,
-    /// Responses served from the degradation ladder (`degraded:true`).
-    pub degraded_responses: u64,
-    /// Statements inside those responses.
-    pub degraded_statements: u64,
     /// Requests shed 504 because their deadline passed.
     pub deadline_expired: u64,
     /// Scoring batches that panicked and were caught.

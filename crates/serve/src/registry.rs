@@ -1,19 +1,13 @@
-//! The model registry: which bundle is live, with atomic hot-swap, a
-//! pinned previous generation, and a circuit breaker around reloads.
+//! The model registry: which bundle is live, with atomic hot-swap and a
+//! circuit breaker around reloads.
 //!
 //! Readers call [`ModelRegistry::current`], which clones an `Arc` under a
 //! briefly-held read lock — they never wait on a reload. A reload parses
 //! and validates the whole new bundle *before* taking the write lock; the
 //! lock is held only for the pointer swap, so in-flight scoring keeps
-//! using the old generation until it drops its `Arc` and the old bundle
-//! frees itself when the last reader finishes.
-//!
-//! Each successful swap also parks the outgoing generation in a
-//! `previous` slot — the degradation ladder's first rung: when the live
-//! bundle cannot answer a problem, the scoring engine may fall back to
-//! the previous generation (marked `degraded:true`) instead of erroring.
-//! Exactly one old generation stays pinned; anything older frees as
-//! usual.
+//! using the old generation until it drops its `Arc`. The registry keeps
+//! no reference to a displaced generation: it frees when its last reader
+//! finishes.
 //!
 //! Repeated load failures trip a circuit breaker: after
 //! [`BREAKER_THRESHOLD`] consecutive failures the registry fast-fails
@@ -22,7 +16,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use crate::bundle::{load_bundle, sweep_bundle_dir, Bundle, BundleError};
@@ -48,9 +42,6 @@ pub struct LiveBundle {
 #[derive(Debug)]
 pub struct ModelRegistry {
     current: RwLock<Arc<LiveBundle>>,
-    /// The generation displaced by the most recent swap, kept for
-    /// degraded fallback. `None` until the first reload.
-    previous: Mutex<Option<Arc<LiveBundle>>>,
     /// Breaker bookkeeping: consecutive failures and when it opened
     /// (millis since `started`, 0 = closed).
     started: Instant,
@@ -71,7 +62,6 @@ impl ModelRegistry {
                 dir: dir.to_path_buf(),
                 bundle,
             })),
-            previous: Mutex::new(None),
             started: Instant::now(),
             fail_streak: AtomicU32::new(0),
             opened_at_ms: AtomicU64::new(0),
@@ -84,15 +74,6 @@ impl ModelRegistry {
     /// it, pinning that generation even across a concurrent reload.
     pub fn current(&self) -> Arc<LiveBundle> {
         Arc::clone(&self.current.read().expect("registry lock poisoned"))
-    }
-
-    /// The generation displaced by the latest swap, if any — the
-    /// degraded-serving fallback.
-    pub fn previous(&self) -> Option<Arc<LiveBundle>> {
-        self.previous
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
     }
 
     /// The live generation number (same cheap read lock as
@@ -120,7 +101,7 @@ impl ModelRegistry {
     }
 
     /// Load the bundle at `dir`, validate it, and atomically swap it in.
-    /// On any error the previous bundle stays live and the failure counts
+    /// On any error the live bundle stays in place and the failure counts
     /// toward the circuit breaker. Returns the new generation.
     pub fn reload(&self, dir: &Path) -> Result<u64, BundleError> {
         if self.breaker_open() {
@@ -160,7 +141,9 @@ impl ModelRegistry {
                 }),
             );
         }
-        *self.previous.lock().unwrap_or_else(|e| e.into_inner()) = Some(displaced);
+        // Released after the write lock: if no reader still holds the old
+        // generation, freeing it does not stall readers.
+        drop(displaced);
         Ok(generation)
     }
 }

@@ -17,18 +17,19 @@
 //! queued, and workers populate the cache under the generation they
 //! scored with, so a hot-swapped bundle never serves stale entries.
 //!
-//! Resilience (PR 10): requests can carry a **deadline** — already-expired
-//! work is shed at admission and queued jobs that expire before their
-//! batch is cut are dropped without a model forward
-//! ([`ScoreError::DeadlineExceeded`] → HTTP 504 upstream). Batch scoring
-//! runs under `catch_unwind`, so a panicking model (or an injected
-//! `score.panic` fault) fails its batch with typed errors instead of
-//! stranding callers, and a worker thread that somehow unwinds anyway is
-//! respawned. With [`ScoringConfig::degrade`] on, failures downgrade
-//! instead of erroring: an unknown problem falls back to the previous
-//! pinned generation, and saturation or a panicked batch falls back to a
-//! cheap length-heuristic predictor — in every case the response is
-//! stamped `degraded: true` and counted in [`ResilienceStats`].
+//! Every request gets the live model's answer or a typed error — there
+//! is no fallback predictor. Requests can carry a **deadline**:
+//! already-expired work is shed at admission and queued jobs that expire
+//! before their batch is cut are dropped without a model forward
+//! ([`ScoreError::DeadlineExceeded`] → HTTP 504 upstream). A problem the
+//! live bundle has no model for is rejected before anything is queued
+//! ([`ScoreError::UnknownProblem`] → 400). Batch scoring runs under
+//! `catch_unwind`, so a panicking model (or an injected `score.panic`
+//! fault) fails every request in its batch with
+//! [`ScoreError::WorkerPanicked`] (→ 500) instead of stranding callers,
+//! and a worker thread that somehow unwinds anyway is respawned. Shed
+//! deadlines, caught panics and respawns are counted in
+//! [`ResilienceStats`].
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,9 +62,6 @@ pub struct Prediction {
 pub struct ScoredBatch {
     pub generation: u64,
     pub predictions: Vec<Prediction>,
-    /// `true` when any prediction came from a fallback (previous
-    /// generation or length heuristic) rather than the live model.
-    pub degraded: bool,
 }
 
 /// Why a scoring request was rejected.
@@ -77,7 +75,7 @@ pub enum ScoreError {
     ShuttingDown,
     /// The request's deadline passed before its statements were scored.
     DeadlineExceeded,
-    /// Batch scoring panicked (and degradation is off).
+    /// Batch scoring panicked.
     WorkerPanicked,
 }
 
@@ -109,12 +107,6 @@ pub struct ScoringConfig {
     pub queue_capacity: usize,
     /// Total prediction-cache entries (0 disables the cache).
     pub cache_capacity: usize,
-    /// Graceful degradation: serve fallback predictions (previous pinned
-    /// generation, else a length heuristic) marked `degraded:true`
-    /// instead of erroring on saturation, unknown problems, or panicked
-    /// batches. Off by default — shedding with 503 stays the contract
-    /// unless an operator opts in.
-    pub degrade: bool,
 }
 
 /// Prediction-cache shard count.
@@ -128,7 +120,6 @@ impl Default for ScoringConfig {
             max_wait: Duration::from_millis(2),
             queue_capacity: 4096,
             cache_capacity: 65_536,
-            degrade: false,
         }
     }
 }
@@ -154,10 +145,6 @@ pub struct ResilienceStats {
     /// Scoring worker threads respawned after an unwind escaped the
     /// batch guard.
     pub worker_respawns: AtomicU64,
-    /// Responses served degraded.
-    pub degraded_responses: AtomicU64,
-    /// Statements inside degraded responses.
-    pub degraded_statements: AtomicU64,
 }
 
 /// How one queued job failed, reported over the reply channel.
@@ -328,11 +315,6 @@ impl ScoringEngine {
         engine
     }
 
-    /// Whether graceful degradation is on for this engine.
-    pub fn degrade_enabled(&self) -> bool {
-        self.cfg.degrade
-    }
-
     /// The registry this engine scores against.
     pub fn registry(&self) -> &ModelRegistry {
         &self.registry
@@ -362,7 +344,7 @@ impl ScoringEngine {
     }
 
     /// The full scoring entry point: cache → queue → workers, honoring a
-    /// per-request deadline and the degradation ladder.
+    /// per-request deadline.
     pub fn score_opts(
         &self,
         problem: Problem,
@@ -384,9 +366,6 @@ impl ScoringEngine {
         }
         let live = self.registry.current();
         if live.bundle.model(problem).is_none() {
-            if self.cfg.degrade {
-                return Ok(self.degraded_unknown_problem(problem, statements, &live));
-            }
             return Err(ScoreError::UnknownProblem(problem));
         }
         let generation = live.generation;
@@ -410,10 +389,9 @@ impl ScoringEngine {
             }
         });
 
-        let mut degraded = false;
         if !misses.is_empty() {
             let (tx, rx) = mpsc::channel();
-            let enqueued = {
+            {
                 let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
                 // Re-checked under the queue lock: `shutdown()` joins
                 // workers after setting the flag, so a store observed
@@ -425,122 +403,51 @@ impl ScoringEngine {
                     return Err(ScoreError::ShuttingDown);
                 }
                 if q.jobs.len() + misses.len() > self.cfg.queue_capacity {
-                    if !self.cfg.degrade {
-                        return Err(ScoreError::Saturated);
-                    }
-                    false
-                } else {
-                    let admitted = Instant::now();
-                    for &i in &misses {
-                        q.jobs.push_back(Job {
-                            problem,
-                            normalized: normalized[i].clone(),
-                            live: Arc::clone(&live),
-                            index: i,
-                            reply: tx.clone(),
-                            deadline: opts.deadline,
-                            trace: trace.map(Arc::clone),
-                            admitted,
-                        });
-                    }
-                    true
+                    return Err(ScoreError::Saturated);
                 }
-            };
-            if enqueued {
-                self.work_ready.notify_all();
-                drop(tx);
-                let mut expired = false;
-                let mut panicked: Vec<usize> = Vec::new();
-                for _ in 0..misses.len() {
-                    let (i, r) = rx.recv().map_err(|_| ScoreError::ShuttingDown)?;
-                    match r {
-                        Ok(p) => out[i] = Some(p),
-                        Err(JobFail::Expired) => expired = true,
-                        Err(JobFail::Panicked) => panicked.push(i),
-                    }
-                }
-                if expired {
-                    self.resilience
-                        .deadline_expired
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Err(ScoreError::DeadlineExceeded);
-                }
-                if !panicked.is_empty() {
-                    if !self.cfg.degrade {
-                        return Err(ScoreError::WorkerPanicked);
-                    }
-                    degraded = true;
-                    for i in panicked {
-                        out[i] = Some(heuristic_predict(problem, &normalized[i]));
-                    }
-                }
-            } else {
-                // Saturated with degradation on: answer every miss
-                // from the heuristic instead of shedding.
-                degraded = true;
+                let admitted = Instant::now();
                 for &i in &misses {
-                    out[i] = Some(heuristic_predict(problem, &normalized[i]));
+                    q.jobs.push_back(Job {
+                        problem,
+                        normalized: normalized[i].clone(),
+                        live: Arc::clone(&live),
+                        index: i,
+                        reply: tx.clone(),
+                        deadline: opts.deadline,
+                        trace: trace.map(Arc::clone),
+                        admitted,
+                    });
                 }
             }
-        }
-        if degraded {
-            self.note_degraded(statements.len());
+            self.work_ready.notify_all();
+            drop(tx);
+            let mut expired = false;
+            let mut panicked = false;
+            for _ in 0..misses.len() {
+                let (i, r) = rx.recv().map_err(|_| ScoreError::ShuttingDown)?;
+                match r {
+                    Ok(p) => out[i] = Some(p),
+                    Err(JobFail::Expired) => expired = true,
+                    Err(JobFail::Panicked) => panicked = true,
+                }
+            }
+            if expired {
+                self.resilience
+                    .deadline_expired
+                    .fetch_add(1, Ordering::Relaxed);
+                return Err(ScoreError::DeadlineExceeded);
+            }
+            if panicked {
+                return Err(ScoreError::WorkerPanicked);
+            }
         }
         Ok(ScoredBatch {
             generation,
-            degraded,
             predictions: out
                 .into_iter()
                 .map(|p| p.expect("every slot filled"))
                 .collect(),
         })
-    }
-
-    fn note_degraded(&self, statements: usize) {
-        self.resilience
-            .degraded_responses
-            .fetch_add(1, Ordering::Relaxed);
-        self.resilience
-            .degraded_statements
-            .fetch_add(statements as u64, Ordering::Relaxed);
-    }
-
-    /// Degradation ladder for a problem the live bundle cannot answer:
-    /// the previous pinned generation if it can (responses stamped with
-    /// *its* generation), else the length heuristic.
-    fn degraded_unknown_problem(
-        &self,
-        problem: Problem,
-        statements: &[String],
-        live: &LiveBundle,
-    ) -> ScoredBatch {
-        let normalized: Vec<String> = statements.iter().map(|s| normalize_statement(s)).collect();
-        if let Some(prev) = self.registry.previous() {
-            if prev.bundle.model(problem).is_some() {
-                if let Ok(predictions) = catch_unwind(AssertUnwindSafe(|| {
-                    self.score_batch_now(&prev, problem, &normalized)
-                })) {
-                    self.note_degraded(statements.len());
-                    return ScoredBatch {
-                        generation: prev.generation,
-                        degraded: true,
-                        predictions,
-                    };
-                }
-                self.resilience
-                    .worker_panics
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.note_degraded(statements.len());
-        ScoredBatch {
-            generation: live.generation,
-            degraded: true,
-            predictions: normalized
-                .iter()
-                .map(|n| heuristic_predict(problem, n))
-                .collect(),
-        }
     }
 
     /// Score one batch against the bundle it was admitted under and
@@ -552,8 +459,8 @@ impl ScoringEngine {
         normalized: &[String],
     ) -> Vec<Prediction> {
         // Injection points for the chaos suite: an artificial stall
-        // (arg = milliseconds) and a worker panic — both caught by the
-        // unwind guards around every call site.
+        // (arg = milliseconds) and a worker panic — caught by the unwind
+        // guard in `worker_loop`.
         if let Some(ms) = sqlan_fault::fire_arg("score.stall") {
             std::thread::sleep(Duration::from_millis(ms.max(1)));
         }
@@ -765,30 +672,6 @@ impl ScoringEngine {
             .unwrap_or_else(|e| e.into_inner())
             .jobs
             .clear();
-    }
-}
-
-/// The degradation ladder's last rung: a deterministic, model-free
-/// prediction from statement length alone. Clearly worse than a trained
-/// model — the point is a well-formed answer under `degraded:true`
-/// instead of an error.
-pub fn heuristic_predict(problem: Problem, normalized: &str) -> Prediction {
-    if problem.is_classification() {
-        let n = problem.n_classes().max(1);
-        let class = normalized.len() % n;
-        let mut proba = vec![0.0f32; n];
-        proba[class] = 1.0;
-        Prediction {
-            class: Some(class),
-            proba: Some(proba),
-            value: None,
-        }
-    } else {
-        Prediction {
-            class: None,
-            proba: None,
-            value: Some((1.0 + normalized.len() as f64).ln()),
-        }
     }
 }
 

@@ -14,8 +14,11 @@
 //! | `GET /debug/trace` | — (`?n=` caps the count)              | recent per-stage request traces |
 //! | `POST /reload`     | `{"dir": "..."}`                      | new generation (hot swap) |
 //!
-//! Saturation sheds with 503 (`{"error": ...}`), malformed input gets
-//! 400, oversized requests 413/431.
+//! `/predict` answers with the live model's predictions or a typed error
+//! (`{"error": ...}`): 503 when the scoring queue is saturated, 400 for
+//! a problem the live bundle has no model for, 500 when the batch's
+//! scoring panicked, 504 when the request's deadline expired. Malformed
+//! input gets 400, oversized requests 413/431.
 //!
 //! When observability is on ([`sqlan_obs::enabled`], the default) every
 //! request mints a [`TraceCtx`] whose id and per-stage spans (`parse`,
@@ -81,11 +84,10 @@ pub struct PredictRequest {
 pub struct PredictResponse {
     /// Bundle generation the request was admitted under — the one that
     /// scored it: jobs pin their admitted bundle even across a
-    /// concurrent hot swap. For a degraded response served from the
-    /// previous pinned generation, this is *that* generation.
+    /// concurrent hot swap.
     pub generation: u64,
-    /// `true` when the predictions came from the degradation ladder
-    /// (previous generation or length heuristic), not the live model.
+    /// Always `false`: every answer comes from the model. The field
+    /// stays so that the response bytes keep their shape.
     pub degraded: bool,
     pub predictions: Vec<Prediction>,
 }
@@ -351,7 +353,7 @@ fn predict(
             );
             let body = PredictResponse {
                 generation: scored.generation,
-                degraded: scored.degraded,
+                degraded: false,
                 predictions: scored.predictions,
             };
             Answer::json(
@@ -461,11 +463,6 @@ fn metrics_route(engine: &ScoringEngine, metrics: &ServeMetrics, query: &str) ->
         },
         max_batch: engine.batch_stats.max_batch.load(Ordering::Relaxed),
         queue_depth: engine.queue_depth() as u64,
-        degraded_responses: engine.resilience.degraded_responses.load(Ordering::Relaxed),
-        degraded_statements: engine
-            .resilience
-            .degraded_statements
-            .load(Ordering::Relaxed),
         deadline_expired: engine.resilience.deadline_expired.load(Ordering::Relaxed),
         worker_panics: engine.resilience.worker_panics.load(Ordering::Relaxed),
         worker_respawns: engine.resilience.worker_respawns.load(Ordering::Relaxed),

@@ -7,14 +7,16 @@
 //! reloads, every scored batch must come from exactly one bundle
 //! (bitwise — the generation-aware cache and the pinned-bundle worker
 //! must never mix generations within a batch), and displaced
-//! generations must actually free — only the live bundle and the single
-//! pinned `previous` may stay alive.
+//! generations must actually free — only the live bundle may stay
+//! alive, down to the generation the last reload displaced.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 
 use sqlan_core::{train_model, Labels, ModelKind, Problem, Task, TrainConfig, TrainData};
-use sqlan_serve::{save_bundle, ModelRegistry, ScoreError, ScoringConfig, ScoringEngine};
+use sqlan_serve::{
+    save_bundle, LiveBundle, ModelRegistry, ScoreError, ScoringConfig, ScoringEngine,
+};
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("sqlan-swap-{tag}-{}", std::process::id()));
@@ -176,14 +178,20 @@ fn reload_storm_never_mixes_generations_within_a_batch() {
         },
     );
 
+    // A weak handle on the live bundle after each storm reload: every
+    // one that is not the final live bundle must free.
+    let seen: Mutex<Vec<Weak<LiveBundle>>> = Mutex::new(Vec::new());
     std::thread::scope(|s| {
         for r in 0..4 {
             let registry = Arc::clone(&registry);
             let (dir_a, dir_b) = (dir_a.clone(), dir_b.clone());
+            let seen = &seen;
             s.spawn(move || {
                 for i in 0..25 {
                     let dir = if (i + r) % 2 == 0 { &dir_a } else { &dir_b };
                     registry.reload(dir).expect("storm reload");
+                    let live = Arc::downgrade(&registry.current());
+                    seen.lock().expect("seen lock").push(live);
                     std::thread::sleep(Duration::from_micros(200));
                 }
             });
@@ -215,13 +223,32 @@ fn reload_storm_never_mixes_generations_within_a_batch() {
     });
 
     engine.shutdown();
-    // 100 reloads displaced ~100 generations. All but the live bundle
-    // and the one pinned `previous` must have freed.
+    // 100 reloads displaced 100 generations. All but the live bundle
+    // must have freed.
     assert!(
         displaced_early.upgrade().is_none(),
         "generation 1 still pinned after the storm — reload leaks bundles"
     );
-    assert!(registry.previous().is_some(), "previous generation pinned");
+    let live = registry.current();
+    for weak in seen.into_inner().expect("seen lock") {
+        if let Some(b) = weak.upgrade() {
+            assert!(
+                Arc::ptr_eq(&b, &live),
+                "displaced generation {} still alive (live is {})",
+                b.generation,
+                live.generation
+            );
+        }
+    }
+    // Including the generation the last reload displaced: the registry
+    // pins nothing but the live bundle.
+    let last = Arc::downgrade(&live);
+    drop(live);
+    registry.reload(&dir_a).expect("final reload");
+    assert!(
+        last.upgrade().is_none(),
+        "the generation displaced by the last reload is still pinned"
+    );
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
 }

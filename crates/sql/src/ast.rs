@@ -339,15 +339,6 @@ pub struct Script {
 }
 
 impl Script {
-    /// The first SELECT query in the script, if any.
-    pub fn first_query(&self) -> Option<&Query> {
-        self.statements.iter().find_map(|s| match s {
-            Statement::Select(q) => Some(q),
-            Statement::Dml { query: Some(q), .. } => Some(q),
-            _ => None,
-        })
-    }
-
     /// Coarse statement-type label used by the workload analysis
     /// (§4.3.1: "SELECT statements comprise approximately 96.5%...").
     pub fn statement_type(&self) -> &'static str {

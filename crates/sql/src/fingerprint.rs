@@ -18,7 +18,7 @@
 //! concrete (hashed into the fingerprint), otherwise two statements with
 //! different plans would collide. Three grammar positions qualify:
 //!
-//! - `TOP n` / `TOP (n)` — the row limit becomes [`Query::top`];
+//! - `TOP n` / `TOP (n)` — the row limit becomes [`Query::top`](crate::Query::top);
 //! - a string right after `AS` — an alias (`expr AS 'name'`);
 //! - numbers inside a CAST type's argument list (`CAST(x AS dec(10, 2))`).
 //!

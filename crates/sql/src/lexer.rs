@@ -7,12 +7,12 @@
 //! producing a token stream, so downstream consumers (feature extractors,
 //! the error model) always have something to work with.
 //!
-//! Internally the lexer is split into a span-only scanner ([`RawLexer`],
+//! Internally the lexer is split into a span-only scanner (`RawLexer`,
 //! crate-private) and a materializing wrapper ([`lex`]). The raw scanner
 //! allocates nothing; it is shared with the template-fingerprint pass in
-//! [`crate::fingerprint`], which guarantees that the fingerprint probe and
-//! the full tokenization agree on every byte of every input by
-//! construction — there is exactly one tokenizer.
+//! [`crate::fingerprint`](mod@crate::fingerprint), which guarantees that
+//! the fingerprint probe and the full tokenization agree on every byte
+//! of every input by construction — there is exactly one tokenizer.
 
 use crate::token::{Keyword, Op, Span, SpannedTok, Tok};
 
@@ -532,7 +532,7 @@ mod tests {
     fn lexes_comments() {
         let t = toks("SELECT 1 -- trailing\n/* block */ FROM x");
         assert_eq!(t[0], Tok::Keyword(K::Select));
-        assert!(t.iter().any(|x| x.is_kw(K::From)));
+        assert!(t.contains(&Tok::Keyword(K::From)));
     }
 
     #[test]

@@ -277,13 +277,6 @@ pub enum Tok {
     Unknown(char),
 }
 
-impl Tok {
-    /// Is this token exactly the given keyword?
-    pub fn is_kw(&self, kw: Keyword) -> bool {
-        matches!(self, Tok::Keyword(k) if *k == kw)
-    }
-}
-
 impl fmt::Display for Tok {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

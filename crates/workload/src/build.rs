@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use sqlan_engine::{Database, ErrorClass, ExecLimits};
+use sqlan_engine::{Database, ErrorClass};
 
 use crate::labels::{SessionClass, WorkloadEntry};
 use crate::schema::{sdss_catalog, sqlshare_catalog, Scale, UserSchema};
@@ -69,7 +69,7 @@ impl Workload {
 /// labels byte-identical at any `SQLAN_THREADS`.
 pub fn build_sdss(cfg: SdssConfig) -> Workload {
     let catalog = sdss_catalog(cfg.scale, cfg.seed ^ 0xCA7A);
-    let db = Database::new(catalog).with_limits(ExecLimits::default());
+    let db = Database::new(catalog);
     let sessions = simulate_sessions(cfg.n_sessions, cfg.seed ^ 0x5E55);
 
     // Flatten hits, re-identify sessions, sample one query per session.

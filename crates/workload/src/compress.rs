@@ -68,16 +68,6 @@ impl CompressedWorkload {
         }
         self.total_entries as f64 / self.templates.len() as f64
     }
-
-    /// Fraction of the workload covered by the `k` most frequent templates
-    /// — the skew workload-compression schemes exploit.
-    pub fn coverage(&self, k: usize) -> f64 {
-        if self.total_entries == 0 {
-            return 0.0;
-        }
-        let covered: usize = self.templates.iter().take(k).map(|t| t.count).sum();
-        covered as f64 / self.total_entries as f64
-    }
 }
 
 /// Compress a workload by template.
@@ -177,15 +167,20 @@ mod tests {
         // Error answer (-1) excluded from the answer mean.
         assert!((c.templates[0].mean_answer_size - 2.0).abs() < 1e-12);
         assert!((c.ratio() - 2.0).abs() < 1e-12);
-        assert!((c.coverage(1) - 0.75).abs() < 1e-12);
-        assert_eq!(c.coverage(2), 1.0);
+        // The top template covers 3 of 4 entries; the two cover them all.
+        assert_eq!(c.templates[1].count, 1);
+        assert_eq!(
+            c.templates.iter().map(|t| t.count).sum::<usize>(),
+            c.total_entries
+        );
     }
 
     #[test]
     fn empty_workload() {
         let c = compress(&[]);
         assert_eq!(c.ratio(), 1.0);
-        assert_eq!(c.coverage(5), 0.0);
+        assert_eq!(c.total_entries, 0);
+        assert!(c.templates.is_empty());
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! stream simulation with 30-minute-gap session identification, execution
 //! against a deterministic engine for ground-truth labels, and the paper's
 //! extraction pipeline (per-session sampling, statement dedup with label
-//! aggregation). See DESIGN.md §2 for the substitution argument.
+//! aggregation). The substitution keeps what the learning problem
+//! depends on: each label follows from the statement text and the
+//! seeded catalog, and session classes differ in syntactic style as
+//! they do in the paper's logs.
 //!
 //! ```
 //! use sqlan_workload::{build_sdss, SdssConfig, Scale};

@@ -1,12 +1,12 @@
 //! Per-session-class query template generators.
 //!
-//! The central realism requirement (DESIGN.md §2): labels must be
-//! *functions of the query text*, and session classes must differ in
-//! syntactic style the way the paper's Figure 8 shows — bots submit the
-//! same template with different constants, programs sweep parameterized
-//! windows, browsers write short diverse queries with occasional mistakes,
-//! and direct-SQL (`no_web_hit`) users write the long, nested, function-
-//! heavy statements.
+//! The central realism requirement: labels must be *functions of the
+//! query text*, because the text is all a model sees, and session
+//! classes must differ in syntactic style the way the paper's Figure 8
+//! shows — bots submit the same template with different constants,
+//! programs sweep parameterized windows, browsers write short diverse
+//! queries with occasional mistakes, and direct-SQL (`no_web_hit`) users
+//! write the long, nested, function-heavy statements.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -31,7 +31,8 @@ fn mistakes(class: SessionClass) -> Mistakes {
         // minority-class train/test counts and the classification task
         // would degenerate, so we compress the imbalance to roughly
         // 89 / 7 / 4 while keeping the ordering
-        // success ≫ non_severe > severe (documented in EXPERIMENTS.md).
+        // success ≫ non_severe > severe
+        // (`build::tests::sdss_error_mix_is_dominated_by_success`).
         SessionClass::Bot => Mistakes {
             p_severe: 0.004,
             p_non_severe: 0.018,
