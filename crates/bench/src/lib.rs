@@ -1,22 +1,31 @@
 //! # sqlan-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper's
-//! evaluation section (run `cargo run --release -p sqlan-bench --bin
-//! table2`, etc.). Shared here: the harness configuration
-//! (env-overridable so CI can shrink it), workload construction, table
-//! rendering, and JSON artifact output. Performance numbers come from
-//! `perfbench/`, not from this crate.
+//! The experiment harness. One binary renders the tables and figures of
+//! the paper's evaluation section: `cargo run --release -p sqlan-bench --
+//! table2 fig12` runs the named ones, and no name runs all 13 ([`TABLES`]).
+//!
+//! Each table is a function over one shared [`Runs`], which builds each
+//! workload once and trains each (`Setting`, `Problem`) experiment at most
+//! once, so tables that read the same experiment share its models. A
+//! table returns its rendered text and its JSON artifact; the binary
+//! prints the one and writes the other under `results/`. Performance
+//! numbers come from `perfbench/`, not from this crate.
 
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-use std::io::Write as _;
+use std::cell::OnceCell;
 
 use sqlan_core::prelude::*;
 use sqlan_engine::Database;
+use sqlan_workload::Split;
 
-/// Harness-wide knobs. Every experiment binary reads these from the
-/// environment so the full suite can be scaled up or down:
+mod tables;
+
+pub use tables::{Table, TABLES};
+
+/// Harness-wide knobs. The binary reads these from the environment so
+/// the full suite can be scaled up or down:
 ///
 /// | env var              | default | meaning                           |
 /// |----------------------|---------|-----------------------------------|
@@ -31,6 +40,7 @@ use sqlan_engine::Database;
 /// |                      |         | results are thread-count invariant|
 ///
 /// A knob that is set but does not parse is an error, not its default.
+/// [`Harness::default`] is the configuration with every knob unset.
 #[derive(Debug, Clone, Copy)]
 pub struct Harness {
     pub sdss_sessions: usize,
@@ -60,6 +70,12 @@ fn knob<T>(
     match var(key) {
         None => Ok(default),
         Some(v) => parse(v.trim()).ok_or_else(|| format!("{key}={v:?} does not parse")),
+    }
+}
+
+impl Default for Harness {
+    fn default() -> Harness {
+        Harness::from_vars(|_| None).expect("the defaults parse")
     }
 }
 
@@ -115,44 +131,126 @@ impl Harness {
             ..TrainConfig::default()
         }
     }
+}
 
-    /// Build the SDSS-like workload (labels generated by execution).
-    pub fn sdss_workload(&self) -> Workload {
-        build_sdss(self.sdss_config())
+/// The models an experiment compares: the problem's baselines, then
+/// [`ModelKind::LEARNED`]. Classification compares against `mfreq`,
+/// regression against `median`, and SQLShare regression against `opt`
+/// too (the optimizer estimate needs the SQLShare database).
+pub(crate) fn lineup(setting: Setting, problem: Problem) -> Vec<ModelKind> {
+    let baselines: &[ModelKind] = match (problem.is_classification(), setting) {
+        (true, _) => &[ModelKind::MFreq],
+        (false, Setting::HomogeneousInstance) => &[ModelKind::Median],
+        (false, _) => &[ModelKind::Median, ModelKind::Opt],
+    };
+    [baselines, &ModelKind::LEARNED[..]].concat()
+}
+
+/// One reproduction run: the harness configuration, each workload built
+/// on first use, and each (`Setting`, `Problem`) experiment trained on
+/// first use. Every table reads from here, so a process builds each
+/// workload once and trains each experiment at most once.
+#[derive(Debug)]
+pub struct Runs {
+    pub harness: Harness,
+    sdss: OnceCell<Workload>,
+    sqlshare: OnceCell<Workload>,
+    sqlshare_db: OnceCell<Database>,
+    /// Indexed by `Setting` then `Problem` discriminant.
+    experiments: [[OnceCell<Experiment>; 4]; 3],
+}
+
+impl Runs {
+    pub fn new(harness: Harness) -> Runs {
+        Runs {
+            harness,
+            sdss: OnceCell::new(),
+            sqlshare: OnceCell::new(),
+            sqlshare_db: OnceCell::new(),
+            experiments: Default::default(),
+        }
     }
 
-    pub fn sqlshare_workload(&self) -> Workload {
-        build_sqlshare(self.sqlshare_config())
+    /// The SDSS-like workload (labels generated by execution).
+    pub(crate) fn sdss(&self) -> &Workload {
+        self.sdss
+            .get_or_init(|| build_sdss(self.harness.sdss_config()))
     }
 
-    pub fn sqlshare_db(&self) -> Database {
-        sqlshare_database(self.sqlshare_config())
+    /// The SQLShare-like workload.
+    pub(crate) fn sqlshare(&self) -> &Workload {
+        self.sqlshare
+            .get_or_init(|| build_sqlshare(self.harness.sqlshare_config()))
+    }
+
+    /// The workload a setting draws from: SDSS for Homogeneous Instance,
+    /// SQLShare for both schema settings.
+    fn workload(&self, setting: Setting) -> &Workload {
+        match setting {
+            Setting::HomogeneousInstance => self.sdss(),
+            Setting::HomogeneousSchema | Setting::HeterogeneousSchema => self.sqlshare(),
+        }
+    }
+
+    /// The setting's train/validation/test split (Table 1): random on
+    /// SDSS and on SQLShare, and by user for Heterogeneous Schema.
+    pub(crate) fn split(&self, setting: Setting) -> Split {
+        let seed = self.harness.seed;
+        match setting {
+            Setting::HomogeneousInstance => random_split(self.sdss().len(), seed),
+            Setting::HomogeneousSchema => random_split(self.sqlshare().len(), seed ^ 1),
+            Setting::HeterogeneousSchema => {
+                split_by_user(&self.sqlshare().entries, 0.8, 0.07, seed ^ 2)
+            }
+        }
+    }
+
+    /// The problem's models (its baselines, then [`ModelKind::LEARNED`])
+    /// trained on the setting's split and evaluated on its test slice,
+    /// on the first call only.
+    pub fn experiment(&self, setting: Setting, problem: Problem) -> &Experiment {
+        self.experiments[setting as usize][problem as usize].get_or_init(|| {
+            let kinds = lineup(setting, problem);
+            let opt_db = kinds.contains(&ModelKind::Opt).then(|| {
+                self.sqlshare_db
+                    .get_or_init(|| sqlshare_database(self.harness.sqlshare_config()))
+            });
+            run_experiment(
+                self.workload(setting),
+                problem,
+                self.split(setting),
+                &kinds,
+                &self.harness.train_config(),
+                opt_db,
+            )
+        })
     }
 }
 
 // ---- rendering ------------------------------------------------------------
 
-/// Fixed-width table printer matching the paper's layout.
-#[derive(Debug, Default)]
-pub struct TablePrinter {
-    pub header: Vec<String>,
-    pub rows: Vec<Vec<String>>,
+/// Fixed-width table renderer matching the paper's layout.
+#[derive(Debug)]
+pub(crate) struct TablePrinter {
+    header: Vec<String>,
+    rows: Vec<Vec<String>>,
 }
 
 impl TablePrinter {
-    pub fn new(header: &[&str]) -> TablePrinter {
+    pub(crate) fn new(header: &[impl AsRef<str>]) -> TablePrinter {
         TablePrinter {
-            header: header.iter().map(|s| s.to_string()).collect(),
+            header: header.iter().map(|s| s.as_ref().to_string()).collect(),
             rows: Vec::new(),
         }
     }
 
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         self.rows.push(cells);
     }
 
-    pub fn print(&self, title: &str) {
-        println!("\n== {title} ==");
+    /// The titled table: a blank line, `== title ==`, the right-aligned
+    /// header, a rule and the rows, each line newline-terminated.
+    pub(crate) fn render(&self, title: &str) -> String {
         let ncol = self.header.len();
         let mut width = vec![0usize; ncol];
         for (i, h) in self.header.iter().enumerate() {
@@ -173,21 +271,21 @@ impl TablePrinter {
                 }
                 line.push_str(&format!("{:>w$}", c, w = width[i.min(ncol - 1)]));
             }
-            line
+            line + "\n"
         };
-        println!("{}", render(&self.header));
-        println!(
-            "{}",
-            "-".repeat(width.iter().sum::<usize>() + 2 * (ncol - 1))
-        );
+        let mut out = format!("\n== {title} ==\n");
+        out += &render(&self.header);
+        out += &"-".repeat(width.iter().sum::<usize>() + 2 * (ncol - 1));
+        out += "\n";
         for row in &self.rows {
-            println!("{}", render(row));
+            out += &render(row);
         }
+        out
     }
 }
 
 /// Format a float for a table cell.
-pub fn f(v: f64) -> String {
+pub(crate) fn f(v: f64) -> String {
     if !v.is_finite() {
         "-".to_string()
     } else if v == 0.0 {
@@ -199,51 +297,9 @@ pub fn f(v: f64) -> String {
     }
 }
 
-/// Write a JSON artifact under `results/` (best effort — the harness keeps
-/// printing even on read-only checkouts).
-pub fn save_json(name: &str, value: &impl serde::Serialize) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    if let Ok(mut file) = std::fs::File::create(&path) {
-        if let Ok(s) = serde_json::to_string_pretty(value) {
-            let _ = file.write_all(s.as_bytes());
-            eprintln!("[saved {}]", path.display());
-        }
-    }
-}
-
-/// The standard model lineups.
-pub fn classification_models() -> Vec<ModelKind> {
-    vec![
-        ModelKind::MFreq,
-        ModelKind::CTfidf,
-        ModelKind::CCnn,
-        ModelKind::CLstm,
-        ModelKind::WTfidf,
-        ModelKind::WCnn,
-        ModelKind::WLstm,
-    ]
-}
-
-pub fn regression_models() -> Vec<ModelKind> {
-    vec![
-        ModelKind::Median,
-        ModelKind::CTfidf,
-        ModelKind::CCnn,
-        ModelKind::CLstm,
-        ModelKind::WTfidf,
-        ModelKind::WCnn,
-        ModelKind::WLstm,
-    ]
-}
-
-pub fn regression_models_with_opt() -> Vec<ModelKind> {
-    let mut m = regression_models();
-    m.insert(1, ModelKind::Opt);
-    m
+/// Format an optional count (the `v` and `p` columns) for a table cell.
+pub(crate) fn count(v: Option<usize>) -> String {
+    v.map_or_else(|| "-".to_string(), |v| v.to_string())
 }
 
 #[cfg(test)]
@@ -271,7 +327,8 @@ mod tests {
         }
         let err = Harness::from_vars(|key| (key == "SQLAN_SCALE").then(|| "big".into()));
         assert!(err.unwrap_err().starts_with("SQLAN_SCALE="));
-        assert_eq!(Harness::from_vars(|_| None).unwrap().seed, 0x5D55);
+        assert_eq!(Harness::default().seed, 0x5D55);
+        assert_eq!(Harness::default().sdss_sessions, 3000);
     }
 
     #[test]
@@ -280,19 +337,38 @@ mod tests {
         assert_eq!(f(0.0), "0");
         assert_eq!(f(0.12345), "0.1235");
         assert_eq!(f(12345.6), "12346");
+        assert_eq!(count(None), "-");
+        assert_eq!(count(Some(77)), "77");
     }
 
     #[test]
     fn model_lineups_have_paper_sizes() {
-        assert_eq!(classification_models().len(), 7); // baseline + 6 learned
-        assert_eq!(regression_models().len(), 7);
-        assert_eq!(regression_models_with_opt().len(), 8);
+        // Baseline(s) first, then the six learned kinds in Table 2 order.
+        let hi = Setting::HomogeneousInstance;
+        let cls = lineup(hi, Problem::ErrorClassification);
+        assert_eq!(cls.len(), 7);
+        assert_eq!(cls[0], ModelKind::MFreq);
+        assert_eq!(cls[1..], ModelKind::LEARNED);
+        assert_eq!(lineup(hi, Problem::SessionClassification), cls);
+        for problem in [Problem::CpuTime, Problem::AnswerSize] {
+            let reg = lineup(hi, problem);
+            assert_eq!(reg.len(), 7);
+            assert_eq!(reg[0], ModelKind::Median);
+        }
+        for setting in [Setting::HomogeneousSchema, Setting::HeterogeneousSchema] {
+            let reg = lineup(setting, Problem::CpuTime);
+            assert_eq!(reg[..2], [ModelKind::Median, ModelKind::Opt]);
+            assert_eq!(reg[2..], ModelKind::LEARNED);
+        }
     }
 
     #[test]
     fn table_printer_renders() {
         let mut t = TablePrinter::new(&["Model", "Loss"]);
         t.row(vec!["mfreq".into(), f(0.5951)]);
-        t.print("smoke"); // must not panic
+        assert_eq!(
+            t.render("smoke"),
+            "\n== smoke ==\nModel    Loss\n-------------\nmfreq  0.5951\n"
+        );
     }
 }

@@ -1,6 +1,7 @@
 //! End-to-end experiment pipeline: dataset → split → train each model →
-//! evaluate on the test slice. This is what the per-table experiment
-//! binaries and the examples drive.
+//! evaluate on the test slice. This is what the experiment harness
+//! (`sqlan-bench`, one experiment per setting and problem) and the
+//! examples drive.
 
 use serde::{Deserialize, Serialize};
 
@@ -37,7 +38,7 @@ pub struct Experiment {
 }
 
 /// Serializable summary row: one model's test metrics, as the harness
-/// binaries write them under `results/`.
+/// writes them under `results/`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SummaryRow {
     pub model: String,

@@ -13,6 +13,6 @@ pub mod tfidf;
 pub mod tokenize;
 pub mod vocab;
 
-pub use tfidf::{ngrams, SparseVec, TfidfVectorizer};
+pub use tfidf::{SparseVec, TfidfVectorizer};
 pub use tokenize::{char_tokens, word_tokens};
 pub use vocab::{Vocab, FIRST_TOKEN_ID, PAD, UNK};

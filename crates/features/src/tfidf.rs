@@ -23,19 +23,9 @@ pub type SparseVec = Vec<(u32, f32)>;
 /// Separator between tokens of one rendered n-gram key.
 const SEP: char = '\u{1f}';
 
-/// Generate all n-grams of `tokens` for n in `1..=max_n`, rendered as
-/// separator-joined strings. (Allocating; the vectorizer hot paths
-/// render keys into a scratch buffer instead — keep this for callers
-/// that want the materialized list.)
-pub fn ngrams(tokens: &[String], max_n: usize) -> Vec<String> {
-    let mut out = Vec::new();
-    for_each_ngram(tokens, max_n, |key| out.push(key.to_string()));
-    out
-}
-
-/// Visit every n-gram of `tokens` for n in `1..=max_n`, rendered into a
-/// reused buffer — the borrowed-key scheme behind [`ngrams`] without its
-/// per-n-gram allocation.
+/// Visit every n-gram of `tokens` for n in `1..=max_n`, each rendered as
+/// its separator-joined tokens into one reused buffer, so the walk
+/// allocates no `String` per n-gram.
 fn for_each_ngram(tokens: &[String], max_n: usize, mut visit: impl FnMut(&str)) {
     let mut key = String::new();
     for n in 1..=max_n {
@@ -225,6 +215,13 @@ mod tests {
         s.iter().map(|t| t.to_string()).collect()
     }
 
+    /// The n-grams `for_each_ngram` visits, materialized in visit order.
+    fn ngrams(tokens: &[String], max_n: usize) -> Vec<String> {
+        let mut out = Vec::new();
+        for_each_ngram(tokens, max_n, |key| out.push(key.to_string()));
+        out
+    }
+
     #[test]
     fn ngrams_up_to_three() {
         let t = toks(&["a", "b", "c"]);
@@ -327,8 +324,8 @@ mod tests {
 
     #[test]
     fn borrowed_key_transform_matches_materialized_ngrams() {
-        // The scratch-buffer n-gram walk must visit exactly the n-grams
-        // `ngrams` materializes, in the same multiset.
+        // The scratch-buffer n-gram walk must visit exactly the
+        // separator-joined token windows, shortest n first.
         let corpus = vec![
             toks(&["select", "x", "from", "t", "where", "x"]),
             toks(&["select", "x", "x", "x"]),
@@ -336,9 +333,10 @@ mod tests {
         let v = TfidfVectorizer::fit(&corpus, 3, 100);
         for stream in &corpus {
             let grams = ngrams(stream, v.max_n);
-            let mut visited = Vec::new();
-            for_each_ngram(stream, v.max_n, |k| visited.push(k.to_string()));
-            assert_eq!(grams, visited);
+            let windows: Vec<String> = (1..=v.max_n)
+                .flat_map(|n| stream.windows(n).map(|w| w.join(&SEP.to_string())))
+                .collect();
+            assert_eq!(grams, windows);
             // And the transform agrees with a from-scratch recount.
             let total = grams.len() as f32;
             let mut expect: Vec<(u32, f32)> = {

@@ -44,5 +44,5 @@ pub use ast::{
 pub use fingerprint::{fingerprint, lex_fingerprint, normalize_statement, FingerprintedLex};
 pub use lexer::{lex, lex_tokens, LexReport};
 pub use parser::{parse, parse_script, parse_tokens, ParseError, ParseOutcome};
-pub use props::{extract_props, extract_statement_props, word_count, StructuralProps};
+pub use props::{extract_props, StructuralProps};
 pub use token::{Keyword, Op, Span, SpannedTok, Tok};

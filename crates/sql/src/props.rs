@@ -95,14 +95,6 @@ fn count_words(text: &str) -> u32 {
     lex_tokens(text).len() as u32
 }
 
-/// Extract properties from an already-parsed statement (text-level counts
-/// must be supplied by the caller).
-pub fn extract_statement_props(stmt: &Statement) -> StructuralProps {
-    let mut props = StructuralProps::default();
-    accumulate_statement(stmt, &mut props);
-    props
-}
-
 fn accumulate_statement(stmt: &Statement, props: &mut StructuralProps) {
     let queries = queries_with_depth(stmt);
     let mut tables: BTreeSet<String> = BTreeSet::new();
@@ -250,11 +242,6 @@ impl crate::token::Op {
         use crate::token::Op::*;
         matches!(self, Eq | Neq | Lt | Lte | Gt | Gte)
     }
-}
-
-/// Count raw word tokens of arbitrary text (exposed for the analysis layer).
-pub fn word_count(text: &str) -> u32 {
-    count_words(text)
 }
 
 #[cfg(test)]

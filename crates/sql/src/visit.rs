@@ -7,8 +7,8 @@
 use crate::ast::*;
 
 /// Walk every sub-expression of `expr` (including `expr` itself), calling
-/// `f` on each. Subqueries are **not** entered; use [`walk_expr_queries`]
-/// to find them.
+/// `f` on each. Subqueries are **not** entered; [`walk_child_queries`]
+/// finds the subqueries of a query.
 pub fn walk_expr<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
     f(expr);
     match expr {
@@ -66,17 +66,6 @@ pub fn walk_expr<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
         }
         Expr::Cast { expr, .. } => walk_expr(expr, f),
     }
-}
-
-/// Call `f` on each immediate subquery contained in `expr` (not recursing
-/// into the subqueries themselves).
-pub fn walk_expr_queries<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a Query)) {
-    walk_expr(expr, &mut |e| match e {
-        Expr::InSubquery { subquery, .. }
-        | Expr::Exists { subquery, .. }
-        | Expr::Subquery(subquery) => f(subquery),
-        _ => {}
-    });
 }
 
 /// Call `f` on every expression appearing directly in `query` (select list,

@@ -29,7 +29,6 @@
 
 pub mod analysis;
 pub mod build;
-pub mod compress;
 pub mod labels;
 pub mod schema;
 pub mod session;
@@ -44,7 +43,6 @@ pub use build::{
     build_sdss, build_sqlshare, sdss_database, sqlshare_database, SdssConfig, SqlShareConfig,
     Workload,
 };
-pub use compress::{compress, template_of, CompressedWorkload, TemplateStats};
 pub use labels::{ErrorClass, Hit, SessionClass, WorkloadEntry};
 pub use schema::{sdss_catalog, sqlshare_catalog, Scale, UserSchema};
 pub use session::{

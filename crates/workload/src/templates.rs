@@ -647,6 +647,35 @@ mod tests {
     }
 
     #[test]
+    fn bots_reuse_few_templates() {
+        // Bots "submit the same query template but with different
+        // constants" (§4.1): masking the literals collapses their
+        // statements onto far fewer templates than no_web_hit's ad-hoc SQL.
+        use sqlan_sql::{lex, Tok};
+        let template = |stmt: &str| -> Vec<String> {
+            let toks = lex(stmt).0;
+            toks.iter()
+                .map(|t| match &t.tok {
+                    Tok::Number(_) | Tok::HexNumber(_) => "?n".to_string(),
+                    Tok::String(_) => "?s".to_string(),
+                    tok => tok.to_string().to_ascii_lowercase(),
+                })
+                .collect()
+        };
+        let mut r = rng(4);
+        let mut templates = |class: SessionClass| {
+            let stmts = (0..300).map(|_| template(&sdss_statement(class, &mut r)));
+            stmts.collect::<std::collections::HashSet<_>>().len()
+        };
+        let bots = templates(SessionClass::Bot);
+        let adhoc = templates(SessionClass::NoWebHit);
+        assert!(
+            adhoc > 2 * bots,
+            "300 statements: bots use {bots} templates, no_web_hit {adhoc}"
+        );
+    }
+
+    #[test]
     fn generation_is_deterministic() {
         let mut a = rng(7);
         let mut b = rng(7);

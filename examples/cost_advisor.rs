@@ -5,7 +5,7 @@
 //! including the §6.3.3 case study of a long-simple vs short-nested query.
 //!
 //! ```bash
-//! cargo run --release -p sqlan-core --example cost_advisor
+//! cargo run --release --example cost_advisor
 //! ```
 
 use sqlan_core::prelude::*;

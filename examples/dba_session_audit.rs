@@ -4,7 +4,7 @@
 //! session-classification problem of Definition 4.
 //!
 //! ```bash
-//! cargo run --release -p sqlan-core --example dba_session_audit
+//! cargo run --release --example dba_session_audit
 //! ```
 
 use sqlan_core::prelude::*;

@@ -3,7 +3,7 @@
 //! fresh statements.
 //!
 //! ```bash
-//! cargo run --release -p sqlan-core --example quickstart
+//! cargo run --release --example quickstart
 //! ```
 
 use sqlan_core::prelude::*;

@@ -5,7 +5,7 @@
 //! paper's central finding (§6.2.4).
 //!
 //! ```bash
-//! cargo run --release -p sqlan-core --example transfer_generalization
+//! cargo run --release --example transfer_generalization
 //! ```
 
 use sqlan_core::prelude::*;

@@ -33,12 +33,13 @@ fn all_four_problems_run() {
         };
         let exp = run_experiment(&w, problem, s.clone(), &kinds, &cfg, None);
         assert_eq!(exp.runs.len(), 2, "{problem}");
-        for run in &exp.runs {
-            let loss = exp.summary_rows()[0].loss;
+        for (run, row) in exp.runs.iter().zip(exp.summary_rows()) {
+            assert_eq!(row.model, run.kind.name(), "{problem}");
             assert!(
-                loss.is_finite() || loss.is_nan(),
-                "{problem}/{}",
-                run.kind.name()
+                row.loss.is_finite(),
+                "{problem}/{}: loss {}",
+                row.model,
+                row.loss
             );
         }
     }
